@@ -307,7 +307,9 @@ impl DenySet {
     }
 }
 
-fn json_escape(s: &str) -> String {
+/// Escapes `s` for a JSON string body: quotes, backslashes and every
+/// control character below 0x20.
+pub(crate) fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for ch in s.chars() {
         match ch {

@@ -53,7 +53,7 @@
 //!   pair, and the canonical TSO certification must report a race
 //!   (MF009 or MF010).
 
-use crate::diag::{Code, Report, Verdict};
+use crate::diag::{json_escape, Code, Report, Verdict};
 use crate::race::{analyze_trace, race_report};
 use memfwd::{MemoryModel, SimConfig, SmpConfig, SmpEvent, SmpMachine};
 use memfwd_tagmem::Addr;
@@ -719,10 +719,6 @@ pub fn render_litmus_human(results: &[LitmusResult]) -> String {
     out
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 /// Renders litmus results as one JSON document (hand-rolled; the
 /// workspace is offline and carries no serde).
 pub fn render_litmus_json(results: &[LitmusResult]) -> String {
@@ -873,5 +869,19 @@ forbidden tso: r0=1
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         let human = render_litmus_human(&[r]);
         assert!(human.contains("sb: pass"));
+    }
+
+    #[test]
+    fn json_escapes_control_characters_in_names() {
+        let src = SB.replace("name sb", "name s\tb");
+        let t = parse_litmus(&src, "sb").expect("parses");
+        assert_eq!(t.name, "s\tb");
+        let r = check_litmus(&t).expect("runs");
+        let json = render_litmus_json(&[r]);
+        assert!(json.contains("\"name\": \"s\\u0009b\""), "{json}");
+        assert!(
+            !json.chars().any(|c| c < ' ' && c != '\n'),
+            "raw control byte in {json:?}"
+        );
     }
 }

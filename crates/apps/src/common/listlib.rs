@@ -5,9 +5,7 @@
 
 use crate::common::rng::Rng;
 use crate::common::with_batch;
-use memfwd::{
-    list_linearize, list_walk, BatchDep, Demand, ListDesc, Machine, Token, BATCH_CAPACITY,
-};
+use memfwd::{list_linearize, list_walk, BatchDep, ListDesc, Machine, Token, BATCH_CAPACITY};
 use memfwd_tagmem::{Addr, Pool};
 
 /// Head-record layout (4 words): `[first, count, mutations, reserved]`.
@@ -163,15 +161,12 @@ impl ListLib {
 
     /// Traverses the list, calling `visit(machine, node, token)` per node,
     /// with the requested prefetching policy. Returns the node count.
-    ///
-    /// Generic over [`Demand`]: the same traversal runs on a [`Machine`]
-    /// directly or inside an epoch-parallel task.
-    pub fn traverse<M: Demand + ?Sized>(
+    pub fn traverse(
         &self,
-        m: &mut M,
+        m: &mut Machine,
         head: Addr,
         mode: PrefetchMode,
-        mut visit: impl FnMut(&mut M, Addr, Token) -> Token,
+        mut visit: impl FnMut(&mut Machine, Addr, Token) -> Token,
     ) -> u64 {
         let node_bytes = self.desc.node_words * 8;
         list_walk(m, head + FIRST, 0, |m, node, tok| {
@@ -200,9 +195,9 @@ impl ListLib {
     }
 
     /// Traverses summing `payload_word` of every node (a common kernel).
-    pub fn sum_payloads<M: Demand + ?Sized>(
+    pub fn sum_payloads(
         &self,
-        m: &mut M,
+        m: &mut Machine,
         head: Addr,
         payload_word: u64,
         mode: PrefetchMode,

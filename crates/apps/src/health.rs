@@ -184,63 +184,54 @@ pub fn run_ck(cfg: &RunConfig, ck: &mut Checkpointer) -> Result<CkOutcome, Machi
             return Ok(CkOutcome::Stopped);
         }
         // Assessment pass: every village checks its patients (read-only),
-        // as the original program's `check_patients_*` routines do. The
-        // per-village traversals are independent, so the pass fans out as
-        // one epoch of tasks (serial when `epoch_threads` is 0); folding
-        // the partial sums in village order keeps the checksum identical.
-        let accs = m.run_tasks(villages.len(), |vi, d| {
-            let mut acc = 0u64;
-            lib.traverse(d, villages[vi].list, mode, |d, node, tok| {
+        // as the original program's `check_patients_*` routines do.
+        for v in &villages {
+            lib.traverse(&mut m, v.list, mode, |m, node, tok| {
                 let (id, sev, t2) = with_batch(|b, out| {
                     b.set_span(node.add_words(1), 3);
                     b.push_load(node.add_words(1), 8, BatchDep::External(tok));
                     b.push_load(node.add_words(3), 8, BatchDep::Prev(0));
-                    d.run_batch(b, out);
+                    m.run_batch(b, out);
                     (out.val(0), out.val(1), out.tok(1))
                 });
-                d.compute(2);
-                acc = acc.wrapping_add(id ^ sev);
+                m.compute(2);
+                checksum = checksum.wrapping_add(id ^ sev);
                 t2
             });
-            acc
-        });
-        for acc in accs {
-            checksum = checksum.wrapping_add(acc);
         }
         // Treat patients; decide transfers to the parent's waiting list.
-        // Each village's treatment touches only its own list, so the
-        // traversals form one epoch of tasks. The RNG draws that pick the
-        // actual movers stay on the host, consumed in village × patient
-        // order — the exact stream the serial pass would draw — and the
-        // list surgery runs serially afterwards, in the same per-village
-        // order (traversals allocate nothing, so the heap-op sequence and
-        // hence every address is unchanged).
-        let candidates = m.run_tasks(villages.len(), |vi, d| {
-            let has_parent = villages[vi].parent.is_some();
-            let mut cands: Vec<(u64, u64, u64, u64)> = Vec::new(); // (idx, id, time, sev)
+        // Every village is treated first; the RNG draws that pick the
+        // actual movers are then consumed in village × patient order and
+        // the list surgery runs afterwards, in the same per-village order
+        // (traversals allocate nothing, so the heap-op sequence and hence
+        // every address is fixed by that order).
+        let mut candidates: Vec<Vec<(u64, u64, u64, u64)>> = Vec::new(); // (idx, id, time, sev)
+        for v in &villages {
+            let has_parent = v.parent.is_some();
+            let mut cands = Vec::new();
             let mut idx = 0u64;
-            lib.traverse(d, villages[vi].list, mode, |d, node, tok| {
+            lib.traverse(&mut m, v.list, mode, |m, node, tok| {
                 let (id, time, sev, t3) = with_batch(|b, out| {
                     b.set_span(node.add_words(1), 3);
                     b.push_load(node.add_words(1), 8, BatchDep::External(tok));
                     b.push_load(node.add_words(2), 8, BatchDep::Prev(0));
                     b.push_load(node.add_words(3), 8, BatchDep::Prev(1));
-                    d.run_batch(b, out);
+                    m.run_batch(b, out);
                     (out.val(0), out.val(1), out.val(2), out.tok(2))
                 });
                 // The stored value depends on `time`, loaded in the same
                 // window — values are fixed at batch build, so the store
                 // stays scalar after the batch (same order, same cycles).
-                let t4 = d.store_dep(node.add_words(2), 8, time + 1, t3);
-                d.compute(4); // diagnosis arithmetic
+                let t4 = m.store_dep(node.add_words(2), 8, time + 1, t3);
+                m.compute(4); // diagnosis arithmetic
                 if has_parent {
                     cands.push((idx, id, time + 1, sev));
                 }
                 idx += 1;
                 t4
             });
-            cands
-        });
+            candidates.push(cands);
+        }
         for vi in 0..villages.len() {
             let mut movers: Vec<(u64, u64, u64, u64)> = Vec::new();
             for &(i, id, time, sev) in &candidates[vi] {
@@ -301,16 +292,14 @@ pub fn run_ck(cfg: &RunConfig, ck: &mut Checkpointer) -> Result<CkOutcome, Machi
     })? {
         return Ok(CkOutcome::Stopped);
     }
-    // Read-only like the assessment pass, so it fans out the same way;
-    // the position-weighted fold stays on the host, in village order.
-    let locals = m.run_tasks(villages.len(), |vi, d| {
+    for (vi, v) in villages.iter().enumerate() {
         let mut local = 0u64;
-        lib.traverse(d, villages[vi].list, mode, |d, node, tok| {
+        lib.traverse(&mut m, v.list, mode, |m, node, tok| {
             let (id, time, t2) = with_batch(|b, out| {
                 b.set_span(node.add_words(1), 2);
                 b.push_load(node.add_words(1), 8, BatchDep::External(tok));
                 b.push_load(node.add_words(2), 8, BatchDep::Prev(0));
-                d.run_batch(b, out);
+                m.run_batch(b, out);
                 (out.val(0), out.val(1), out.tok(1))
             });
             local = local
@@ -318,9 +307,6 @@ pub fn run_ck(cfg: &RunConfig, ck: &mut Checkpointer) -> Result<CkOutcome, Machi
                 .rotate_left(1);
             t2
         });
-        local
-    });
-    for (vi, local) in locals.into_iter().enumerate() {
         checksum = checksum.wrapping_add(local.wrapping_mul(vi as u64 + 1));
     }
 

@@ -7,10 +7,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use memfwd::{BatchDep, BatchOut, Machine, RefBatch, SimConfig, BATCH_CAPACITY};
 use memfwd_cache::{AccessKind, Hierarchy, HierarchyConfig, MshrFile};
-use memfwd_tagmem::{
-    merge_mask, resolve_with_scratch, Addr, FxHashMap, PageMask, SpecView, TaggedMemory,
-    DEFAULT_HOP_LIMIT, PAGE_BYTES,
-};
+use memfwd_tagmem::{resolve_with_scratch, Addr, TaggedMemory, DEFAULT_HOP_LIMIT, PAGE_BYTES};
 use std::hint::black_box;
 
 fn bench_page_translation(c: &mut Criterion) {
@@ -266,99 +263,6 @@ fn bench_mshr_probe(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_epoch_conflict_probe(c: &mut Criterion) {
-    let mut group = c.benchmark_group("epoch_conflict_probe");
-    // A task delta with reads and writes across 16 pages, probed against a
-    // committed-writes map the way the epoch committer validates every
-    // speculative task: word-granular bitmap intersection per page.
-    let mut mem = TaggedMemory::new();
-    for p in 0..16u64 {
-        mem.write_data(Addr(p * PAGE_BYTES as u64), 8, p + 1);
-    }
-    let base = mem.spec_base();
-    let mut v = SpecView::new(base);
-    for p in 0..16u64 {
-        v.read_word_tagged(Addr(p * PAGE_BYTES as u64 + 64));
-        v.write_data(Addr(p * PAGE_BYTES as u64 + 128), 8, p);
-    }
-    let delta = v.into_delta();
-    // Earlier tasks wrote the same 16 pages but different words: the
-    // false-sharing shape the word masks exist to clear.
-    let mut disjoint: FxHashMap<u64, PageMask> = FxHashMap::default();
-    let mut overlapping: FxHashMap<u64, PageMask> = FxHashMap::default();
-    for (pno, mask) in delta.reads.iter() {
-        let mut shifted = *mask;
-        for limb in shifted.iter_mut() {
-            *limb = limb.rotate_left(1);
-        }
-        merge_mask(&mut disjoint, *pno, &shifted);
-        merge_mask(&mut overlapping, *pno, mask);
-    }
-    group.bench_function("disjoint_16_pages", |b| {
-        b.iter(|| black_box(delta.disjoint_from(black_box(&disjoint))))
-    });
-    group.bench_function("overlap_16_pages", |b| {
-        b.iter(|| black_box(delta.disjoint_from(black_box(&overlapping))))
-    });
-    group.bench_function("classify_overlap_pure_reads", |b| {
-        b.iter(|| black_box(delta.pure_reads_overlap(black_box(&overlapping))))
-    });
-    group.finish();
-}
-
-fn bench_epoch_delta_merge(c: &mut Criterion) {
-    let mut group = c.benchmark_group("epoch_delta_merge");
-    // Committing a clean task's page delta into main memory: the masked
-    // word patch, sparse (one dirty word) and dense (whole page dirty).
-    let mut mem = TaggedMemory::new();
-    mem.write_data(Addr(0), 8, 1);
-    let src = {
-        let base = mem.spec_base();
-        let mut v = SpecView::new(base);
-        for w in 0..(PAGE_BYTES as u64 / 8) {
-            v.write_data(Addr(w * 8), 8, w);
-        }
-        v.into_delta()
-    };
-    let (_, dense_page, dense_mask) = &src.pages[0];
-    let mut sparse_mask: PageMask = [0; PAGE_BYTES / 8 / 64];
-    sparse_mask[3] = 1 << 17;
-    group.bench_function("install_words_sparse_1_word", |b| {
-        b.iter(|| mem.install_words(black_box(0), dense_page, &sparse_mask))
-    });
-    group.bench_function("install_words_dense_512_words", |b| {
-        b.iter(|| mem.install_words(black_box(0), dense_page, dense_mask))
-    });
-    group.finish();
-}
-
-fn bench_epoch_commit(c: &mut Criterion) {
-    let mut group = c.benchmark_group("epoch_commit");
-    // A full run_tasks round trip — speculate, validate, merge, replay
-    // timing — against the identical work done as a plain serial loop.
-    // The gap between the two is the engine's whole-epoch overhead tax.
-    let task_work = |d: &mut dyn memfwd::Demand, base: Addr, i: usize| {
-        let a = base.add_words(i as u64 * 8);
-        let mut acc = 0u64;
-        for w in 0..8u64 {
-            d.store_word(a.add_words(w), i as u64 + w);
-            acc = acc.wrapping_add(d.load_word(a.add_words(w)));
-        }
-        acc
-    };
-    group.bench_function("run_tasks_64_direct", |b| {
-        let mut m = Machine::new(SimConfig::default().with_epoch_threads(0));
-        let base = m.malloc(64 * 64 * 8);
-        b.iter(|| black_box(m.run_tasks(64, |i, d| task_work(d, base, i))))
-    });
-    group.bench_function("run_tasks_64_threads_1", |b| {
-        let mut m = Machine::new(SimConfig::default().with_epoch_threads(1));
-        let base = m.malloc(64 * 64 * 8);
-        b.iter(|| black_box(m.run_tasks(64, |i, d| task_work(d, base, i))))
-    });
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_page_translation,
@@ -367,9 +271,6 @@ criterion_group!(
     bench_machine_refs,
     bench_bitmap_scan,
     bench_batch_translate,
-    bench_mshr_probe,
-    bench_epoch_conflict_probe,
-    bench_epoch_delta_merge,
-    bench_epoch_commit
+    bench_mshr_probe
 );
 criterion_main!(benches);

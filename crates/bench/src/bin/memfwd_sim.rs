@@ -29,11 +29,6 @@ OPTIONS:
                             (disables the batched/fast path; statistics are
                             bit-identical either way — this flag exists to
                             prove it)
-    --threads <n|auto>      epoch-parallel worker count for the multi-core
-                            execution engine; `auto` uses the host's
-                            available parallelism, 0 (the default) runs
-                            epochs serially. Simulated results are
-                            bit-identical at every count
     --line-bytes <n>        cache line size, power of two >= 16 (default: 32)
     --mem-latency <n>       main-memory latency in cycles (default: 75)
     --prefetch <blocks>     enable software prefetching with this block size
@@ -127,11 +122,6 @@ fn parse() -> Result<Cli, String> {
             "--perfect-forwarding" => cfg.sim.perfect_forwarding = true,
             "--no-speculation" => cfg.sim.dependence_speculation = false,
             "--scalar" => cfg.sim.scalar_path = true,
-            "--threads" => {
-                let v = next_val(&mut args, "--threads")?;
-                cfg.sim.epoch_threads =
-                    memfwd_bench::parse_thread_count(&v).map_err(|e| format!("--threads: {e}"))?;
-            }
             "--line-bytes" => {
                 let v: u64 = next_val(&mut args, "--line-bytes")?
                     .parse()
@@ -394,19 +384,6 @@ fn main() {
         "speculation          {} misspeculations, {} replays",
         s.fwd.misspeculations, s.pipeline.replays
     );
-    if s.epoch.epochs > 0 {
-        println!(
-            "epoch execution      {} epochs: {} tasks committed speculatively, \
-             {} replayed ({} rw, {} ww, {} aborted), {} ran direct",
-            s.epoch.epochs,
-            s.epoch.committed,
-            s.epoch.replayed,
-            s.epoch.conflicts_rw,
-            s.epoch.conflicts_ww,
-            s.epoch.aborts,
-            s.epoch.direct
-        );
-    }
     println!(
         "memory               {} pages touched, {} fbits set, tag overhead {} B",
         s.mem.pages,

@@ -49,20 +49,10 @@ OPTIONS:
     --jobs <n|auto>         sweep worker threads, one cell per worker
                             (default: auto = the host's available
                             parallelism)
-    --threads <n|auto>      epoch-parallel worker count inside each cell
-                            (the multi-core single-run engine); `auto` uses
-                            the host's available parallelism, 0 disables
-                            the engine (default: auto). Simulated results
-                            are bit-identical at every count; the value is
-                            recorded as host_threads in the report
     --out <file>            report path (default: BENCH_sweep.json)
     --selftest              also time the fixed single-run probe cell
                             (health/optimized) and record its
                             refs-per-second in the report
-    --curve <n,...>         scaling-curve mode: run the selftest probe
-                            best-of-3 at each epoch worker count in the
-                            list, print refs/s and speedup per count, and
-                            exit (no sweep; local only)
     --scalar                force the fully general scalar demand path
                             for every cell and the selftest (disables the
                             batched hot path; simulated results are
@@ -132,10 +122,6 @@ EXIT CODES:
 struct Cli {
     spec: SweepSpec,
     jobs: usize,
-    /// Epoch worker count per cell; `None` means the user did not pass
-    /// `--threads` and the auto default applies (local runs only).
-    threads: Option<usize>,
-    curve: Option<Vec<usize>>,
     out: std::path::PathBuf,
     selftest: bool,
     scalar: bool,
@@ -177,8 +163,6 @@ fn parse_list<T, E: std::fmt::Display>(
 fn parse() -> Result<Mode, String> {
     let mut spec = SweepSpec::default();
     let mut jobs = memfwd_bench::host_parallelism();
-    let mut threads: Option<usize> = None;
-    let mut curve: Option<Vec<usize>> = None;
     let mut out = std::path::PathBuf::from("BENCH_sweep.json");
     let mut want_selftest = false;
     let mut scalar = false;
@@ -246,16 +230,6 @@ fn parse() -> Result<Mode, String> {
                 if jobs == 0 {
                     return Err("--jobs must be at least 1".into());
                 }
-            }
-            "--threads" => {
-                let v = next_val(&mut args, "--threads")?;
-                threads = Some(
-                    memfwd_bench::parse_thread_count(&v).map_err(|e| format!("--threads: {e}"))?,
-                );
-            }
-            "--curve" => {
-                let v = next_val(&mut args, "--curve")?;
-                curve = Some(parse_list("--curve", &v, memfwd_bench::parse_thread_count)?);
             }
             "--out" => out = std::path::PathBuf::from(next_val(&mut args, "--out")?),
             "--selftest" => want_selftest = true,
@@ -361,17 +335,9 @@ fn parse() -> Result<Mode, String> {
     if scalar && (supervised || submit.is_some()) {
         return Err("--scalar applies to local in-process runs only".into());
     }
-    if threads.is_some() && (supervised || submit.is_some()) {
-        return Err("--threads applies to local in-process runs only".into());
-    }
-    if curve.is_some() && (supervised || submit.is_some()) {
-        return Err("--curve applies to local in-process runs only".into());
-    }
     Ok(Mode::Sweep(Box::new(Cli {
         spec,
         jobs,
-        threads,
-        curve,
         out,
         selftest: want_selftest,
         scalar,
@@ -388,40 +354,6 @@ fn parse() -> Result<Mode, String> {
         submit,
         job_timeout_ms,
     })))
-}
-
-/// The `--curve` scaling mode: the selftest probe, best of 3, at each
-/// epoch worker count in turn. Prints refs/s, the speedup against the
-/// first count in the list, and the engine's commit/replay tallies.
-fn run_curve(counts: &[usize], scale: Scale) {
-    println!("scaling curve: selftest probe (health/optimized), best of 3 per count");
-    println!(
-        "host parallelism: {} hardware threads (counts above it time-slice)",
-        memfwd_bench::host_parallelism()
-    );
-    let mut base: Option<f64> = None;
-    for &t in counts {
-        memfwd_bench::sweep::set_epoch_threads(t);
-        let mut best: Option<memfwd_bench::sweep::CellResult> = None;
-        for _ in 0..3 {
-            let r = selftest(scale);
-            if best.as_ref().is_none_or(|b| r.host_nanos < b.host_nanos) {
-                best = Some(r);
-            }
-        }
-        let r = best.expect("three probe runs");
-        let rps = r.refs_per_second();
-        let base_rps = *base.get_or_insert(rps);
-        let e = &r.stats.epoch;
-        println!(
-            "threads {t:>2}: {rps:>12.0} refs/s  {:>5.2}x  \
-             ({} epochs, {} committed, {} replayed)",
-            rps / base_rps,
-            e.epochs,
-            e.committed,
-            e.replayed
-        );
-    }
 }
 
 /// Verifies the relocation schedule of every app x variant in the spec at
@@ -718,20 +650,6 @@ fn main() {
 
     if cli.scalar {
         memfwd_bench::sweep::set_scalar_path(true);
-    }
-
-    // Epoch worker count per cell: explicit --threads wins; local sweeps
-    // default to the host's parallelism. Supervised campaigns run cells
-    // out of process, where the engine stays off.
-    if !cli.supervised {
-        memfwd_bench::sweep::set_epoch_threads(
-            cli.threads.unwrap_or_else(memfwd_bench::host_parallelism),
-        );
-    }
-
-    if let Some(counts) = &cli.curve {
-        run_curve(counts, cli.spec.scale);
-        std::process::exit(0);
     }
 
     let selftest_rps = if cli.selftest {

@@ -24,16 +24,16 @@ pub use memfwd_farm::sweep;
 /// The line sizes swept by Fig. 5/6 of the paper.
 pub const LINE_SIZES: [u64; 3] = [32, 64, 128];
 
-/// The host's available parallelism, used as the default worker count for
-/// `--jobs` and `--threads` (1 when the host cannot report it).
+/// The host's available parallelism, used as the default `--jobs` worker
+/// count (1 when the host cannot report it).
 pub fn host_parallelism() -> usize {
     std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1)
 }
 
-/// Parses a worker-count CLI value: a number (0 allowed where it means
-/// "disabled"), or `auto` for [`host_parallelism`].
+/// Parses a worker-count CLI value: a number, or `auto` for
+/// [`host_parallelism`].
 ///
 /// # Errors
 ///

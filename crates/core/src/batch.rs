@@ -212,20 +212,13 @@ impl BatchOut {
         self.toks.last().copied().unwrap_or_else(Token::ready)
     }
 
-    pub(crate) fn reset(&mut self) {
+    fn reset(&mut self) {
         self.vals.clear();
         self.toks.clear();
         if self.vals.capacity() < BATCH_CAPACITY {
             self.vals.reserve(BATCH_CAPACITY);
             self.toks.reserve(BATCH_CAPACITY);
         }
-    }
-
-    /// Appends one op's result — the speculative interpreter's
-    /// [`crate::epoch`] batch path fills the arena through this.
-    pub(crate) fn push_result(&mut self, val: u64, tok: Token) {
-        self.vals.push(val);
-        self.toks.push(tok);
     }
 }
 

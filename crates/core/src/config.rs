@@ -82,13 +82,6 @@ pub struct SimConfig {
     /// differential tests (and a suspicious user) can prove it on any run
     /// via `--scalar`.
     pub scalar_path: bool,
-    /// Worker threads for the epoch-parallel execution engine
-    /// (the `epoch` module). `0` (the default) disables speculation entirely:
-    /// task groups handed to [`crate::Machine::run_tasks`] execute directly
-    /// on the calling thread. Any value ≥ 1 runs that many speculation
-    /// workers plus the committer on the calling thread; results are
-    /// bit-identical at every setting.
-    pub epoch_threads: usize,
     /// Shared-memory consistency model of the SMP machine (see
     /// [`MemoryModel`]). [`MemoryModel::Sc`] — the default — keeps the
     /// SMP machine bit-identical to its pre-TSO behaviour; the
@@ -204,7 +197,6 @@ impl Default for SimConfig {
             checkpoint_every: None,
             watchdog: WatchdogConfig::default(),
             scalar_path: false,
-            epoch_threads: 0,
             memory_model: MemoryModel::Sc,
         }
     }
@@ -248,13 +240,6 @@ impl SimConfig {
         self
     }
 
-    /// Returns a copy with `threads` epoch-engine speculation workers
-    /// (`0` disables the engine; see [`SimConfig::epoch_threads`]).
-    pub fn with_epoch_threads(mut self, threads: usize) -> Self {
-        self.epoch_threads = threads;
-        self
-    }
-
     /// Returns a copy running the SMP machine under `model` (see
     /// [`MemoryModel`]; the default is [`MemoryModel::Sc`]).
     pub fn with_memory_model(mut self, model: MemoryModel) -> Self {
@@ -277,7 +262,6 @@ mod tests {
         assert_eq!(c.hop_limit, DEFAULT_HOP_LIMIT);
         assert!(c.hard_hop_budget.is_none());
         assert!(c.fault_injection.is_none());
-        assert_eq!(c.epoch_threads, 0, "speculation is opt-in");
         assert_eq!(c.memory_model, MemoryModel::Sc, "SC is the default");
     }
 

@@ -45,7 +45,6 @@
 mod batch;
 mod cluster;
 mod config;
-mod epoch;
 pub mod fault;
 pub mod inject;
 mod inspect;
@@ -66,7 +65,6 @@ mod trap;
 pub use batch::{BatchDep, BatchOp, BatchOut, RefBatch, BATCH_CAPACITY};
 pub use cluster::{subtree_cluster, TreeDesc};
 pub use config::{MemoryModel, SimConfig, WatchdogConfig};
-pub use epoch::Demand;
 pub use fault::{record_last_fault, take_last_fault, MachineFault};
 pub use inject::{Corruption, InjectConfig, InjectKind, Injector};
 pub use inspect::{dump_chain, heap_summary, line_map};
@@ -83,7 +81,7 @@ pub use snapshot::{
     check_snapshot_config, read_snapshot_file, restore_machine, restore_smp, save_machine,
     save_smp, write_snapshot_file, SnapshotError, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
 };
-pub use stats::{EpochStats, FwdStats, RunStats, HOPS_BUCKETS};
+pub use stats::{FwdStats, RunStats, HOPS_BUCKETS};
 pub use trace::{forwarding_sources, hot_miss_lines, TraceKind, TraceRecord};
 pub use trap::{FaultHandler, TrapInfo, TrapOutcome, MAX_FAULT_RETRIES};
 

@@ -77,18 +77,15 @@ pub fn list_linearize(
     out
 }
 
-/// Walks a list through any demand issuer, applying `visit` to each node
-/// address, threading the pointer-chasing dependence. Returns the node
-/// count.
+/// Walks a list through the machine, applying `visit` to each node address,
+/// threading the pointer-chasing dependence. Returns the node count.
 ///
-/// Shared by the applications' traversal kernels and by tests. Generic
-/// over [`crate::Demand`] so the same walk runs on a [`Machine`] directly
-/// or inside an epoch-parallel task (`Machine::run_tasks`).
-pub fn list_walk<M: crate::Demand + ?Sized>(
-    m: &mut M,
+/// Shared by the applications' traversal kernels and by tests.
+pub fn list_walk(
+    m: &mut Machine,
     head_handle: Addr,
     next_offset: u64,
-    mut visit: impl FnMut(&mut M, Addr, Token) -> Token,
+    mut visit: impl FnMut(&mut Machine, Addr, Token) -> Token,
 ) -> u64 {
     let (mut p, mut tok) = m.load_ptr_dep(head_handle, Token::ready());
     let mut n = 0;

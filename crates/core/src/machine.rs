@@ -5,7 +5,7 @@ use crate::config::SimConfig;
 use crate::fault::{record_last_fault, MachineFault};
 use crate::inject::{Corruption, InjectKind, Injector};
 use crate::paging::PageCache;
-use crate::stats::{EpochStats, FwdStats, RunStats, HOPS_BUCKETS};
+use crate::stats::{FwdStats, RunStats, HOPS_BUCKETS};
 use crate::trace::{Trace, TraceKind, TraceRecord};
 use crate::trap::{FaultHandler, TrapInfo, TrapOutcome, MAX_FAULT_RETRIES};
 use memfwd_cache::{AccessKind, Hierarchy};
@@ -64,8 +64,6 @@ pub struct Machine {
     /// Page-run translation cache for the fast path: consecutive references
     /// to one page pay a single page-table lookup.
     pub(crate) ref_cursor: PageCursor,
-    /// Accounting for the epoch-parallel engine ([`crate::epoch`]).
-    pub(crate) epoch_stats: EpochStats,
 }
 
 /// Outcome of a timed forwarding-chain walk.
@@ -106,7 +104,6 @@ impl Machine {
             walk_scratch: Vec::new(),
             fast_ok: false,
             ref_cursor: PageCursor::empty(),
-            epoch_stats: EpochStats::default(),
             cfg,
         };
         m.recompute_fast_ok();
@@ -171,7 +168,7 @@ impl Machine {
     }
 
     // ------------------------------------------------------------------
-    // Demand references with forwarding.
+    // Forwarded demand references.
     // ------------------------------------------------------------------
 
     /// Walks the forwarding chain starting at `addr` with full timing:
@@ -1299,7 +1296,6 @@ impl Machine {
             fwd: self.stats,
             mem: self.mem.stats(),
             heap: self.heap.stats(),
-            epoch: self.epoch_stats,
         }
     }
 }

@@ -26,7 +26,7 @@
 //! - **TSO**: each core issues stores into a private FIFO *store buffer*
 //!   ([`SmpConfig::sb_entries`] deep). The issuing core forwards its own
 //!   buffered values to later loads and chain walks; remote cores observe
-//!   a store only once it **drains** to coherent memory. Demand stores
+//!   a store only once it **drains** to coherent memory. Program stores
 //!   resolve their forwarding chain at the drain (the coherent write),
 //!   and the drain is charged through the ordinary timed access path.
 //!   [`SmpMachine::fence`], [`SmpMachine::store_release`],

@@ -54,9 +54,9 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"MFWDSNAP";
 
 /// Current snapshot format version. Bumped on any layout change; old
 /// versions are rejected with [`SnapshotError::BadVersion`], never
-/// misinterpreted. Version 2 added the epoch-engine counters
-/// ([`crate::EpochStats`]) to the machine payload.
-pub const SNAPSHOT_VERSION: u32 = 2;
+/// misinterpreted. Version 2 added the epoch-engine counters to the
+/// machine payload; version 3 removed them again with the engine.
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 const HEADER_BYTES: usize = 28;
 
@@ -135,16 +135,6 @@ fn fingerprint(rendered: &str) -> u64 {
     fnv1a64(rendered.as_bytes())
 }
 
-/// Configuration fingerprint for uniprocessor snapshots. `epoch_threads`
-/// is a *host* knob — results are bit-identical at every setting — so it is
-/// normalized out: a checkpoint written at `--threads 4` resumes cleanly at
-/// `--threads 1` (or vice versa).
-fn config_fingerprint(cfg: &SimConfig) -> u64 {
-    let mut norm = *cfg;
-    norm.epoch_threads = 0;
-    fingerprint(&format!("{norm:?}"))
-}
-
 /// Wraps a payload in the versioned, checksummed container.
 fn seal(payload: Vec<u8>) -> Vec<u8> {
     let mut out = Vec::with_capacity(HEADER_BYTES + payload.len());
@@ -221,7 +211,6 @@ fn encode_machine(enc: &mut SnapEncoder, m: &Machine) {
         inj.snapshot_encode(enc);
     }
     enc.seq(m.walk_hops_window.iter(), |e, &h| e.u64(h));
-    m.epoch_stats.snapshot_encode(enc);
 }
 
 fn decode_machine(dec: &mut SnapDecoder<'_>, cfg: SimConfig) -> Result<Machine, SnapshotError> {
@@ -279,7 +268,6 @@ fn decode_machine(dec: &mut SnapDecoder<'_>, cfg: SimConfig) -> Result<Machine, 
             .ok_or(SnapCodecError::BadValue)?;
         walk_hops_window.push_back(h);
     }
-    let epoch_stats = crate::stats::EpochStats::snapshot_decode(dec)?;
     let mut m = Machine {
         cfg,
         mem,
@@ -301,7 +289,6 @@ fn decode_machine(dec: &mut SnapDecoder<'_>, cfg: SimConfig) -> Result<Machine, 
         walk_scratch: Vec::new(),
         fast_ok: false,
         ref_cursor: memfwd_tagmem::PageCursor::empty(),
-        epoch_stats,
     };
     m.recompute_fast_ok();
     Ok(m)
@@ -316,7 +303,7 @@ fn decode_machine(dec: &mut SnapDecoder<'_>, cfg: SimConfig) -> Result<Machine, 
 /// (see the module documentation).
 pub fn save_machine(m: &Machine, cursor: &[u64]) -> Vec<u8> {
     let mut enc = SnapEncoder::new();
-    enc.u64(config_fingerprint(&m.cfg));
+    enc.u64(fingerprint(&format!("{:?}", m.cfg)));
     enc.u8(0); // flavor: uniprocessor
     encode_machine(&mut enc, m);
     enc.seq(cursor.iter(), |e, &w| e.u64(w));
@@ -335,7 +322,7 @@ pub fn save_machine(m: &Machine, cursor: &[u64]) -> Vec<u8> {
 pub fn restore_machine(bytes: &[u8], cfg: SimConfig) -> Result<(Machine, Vec<u64>), SnapshotError> {
     let payload = open(bytes)?;
     let mut dec = SnapDecoder::new(payload);
-    if dec.u64()? != config_fingerprint(&cfg) {
+    if dec.u64()? != fingerprint(&format!("{cfg:?}")) {
         return Err(SnapshotError::ConfigMismatch);
     }
     if dec.u8()? != 0 {
@@ -371,7 +358,7 @@ pub fn restore_machine(bytes: &[u8], cfg: SimConfig) -> Result<(Machine, Vec<u64
 pub fn check_snapshot_config(bytes: &[u8], cfg: &SimConfig) -> Result<(), SnapshotError> {
     let payload = open(bytes)?;
     let mut dec = SnapDecoder::new(payload);
-    if dec.u64()? != config_fingerprint(cfg) {
+    if dec.u64()? != fingerprint(&format!("{cfg:?}")) {
         return Err(SnapshotError::ConfigMismatch);
     }
     if dec.u8()? != 0 {
@@ -385,9 +372,6 @@ pub fn check_snapshot_config(bytes: &[u8], cfg: &SimConfig) -> Result<(), Snapsh
 // ---------------------------------------------------------------------
 
 fn smp_fingerprint(cfg: &SmpConfig, sim: &SimConfig) -> u64 {
-    // `epoch_threads` is normalized out exactly as for uniprocessor images.
-    let mut sim = *sim;
-    sim.epoch_threads = 0;
     fingerprint(&format!("{cfg:?}|{sim:?}"))
 }
 
@@ -738,12 +722,16 @@ mod tests {
 
     #[test]
     fn version_skew_is_reported_before_checksum() {
-        let mut img = save_machine(&busy_machine(), &[]);
-        img[8..12].copy_from_slice(&99u32.to_le_bytes());
-        assert_eq!(
-            restore_machine(&img, SimConfig::default()).err(),
-            Some(SnapshotError::BadVersion { found: 99 })
-        );
+        // Includes the previous version: an image from an older build is
+        // rejected as typed skew, never decoded under the new layout.
+        for found in [SNAPSHOT_VERSION - 1, 99] {
+            let mut img = save_machine(&busy_machine(), &[]);
+            img[8..12].copy_from_slice(&found.to_le_bytes());
+            assert_eq!(
+                restore_machine(&img, SimConfig::default()).err(),
+                Some(SnapshotError::BadVersion { found })
+            );
+        }
     }
 
     #[test]
@@ -754,20 +742,6 @@ mod tests {
             restore_machine(&img, SimConfig::default()).err(),
             Some(SnapshotError::BadMagic)
         );
-    }
-
-    #[test]
-    fn epoch_threads_is_fingerprint_neutral() {
-        // A checkpoint is a host artifact: the worker count at write time
-        // must not pin the worker count at resume time.
-        let img = save_machine(&busy_machine(), &[5]);
-        for threads in [0, 1, 4] {
-            let cfg = SimConfig::default().with_epoch_threads(threads);
-            check_snapshot_config(&img, &cfg).expect("threads-skewed resume passes");
-            let (m2, cursor) = restore_machine(&img, cfg).expect("restore");
-            assert_eq!(cursor, vec![5]);
-            assert_eq!(m2.config().epoch_threads, threads);
-        }
     }
 
     #[test]

@@ -11,9 +11,9 @@ pub const HOPS_BUCKETS: usize = 9;
 /// Counters maintained by the [`crate::Machine`] while the program runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FwdStats {
-    /// Demand loads issued.
+    /// Loads issued (demand references, not prefetches).
     pub loads: u64,
-    /// Demand stores issued.
+    /// Stores issued (demand references).
     pub stores: u64,
     /// Prefetch instructions issued.
     pub prefetches: u64,
@@ -103,63 +103,6 @@ fn ratio(num: u64, den: u64) -> f64 {
         0.0
     } else {
         num as f64 / den as f64
-    }
-}
-
-/// Accounting for the epoch-parallel execution engine (the `epoch` module).
-///
-/// Every counter is deterministic: the commit protocol decides each task's
-/// fate from program-order state only, so the same run produces the same
-/// numbers at any worker count ≥ 1. A run with `epoch_threads == 0` (pure
-/// direct execution) leaves the whole block zero.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct EpochStats {
-    /// Task groups handed to the epoch engine.
-    pub epochs: u64,
-    /// Speculative tasks whose results were committed as-is.
-    pub committed: u64,
-    /// Speculative tasks discarded and re-executed serially.
-    pub replayed: u64,
-    /// Replays caused by a read overlapping an earlier task's writes.
-    pub conflicts_rw: u64,
-    /// Replays caused by write/write page overlap (whole-page merge would
-    /// clobber the earlier task's data).
-    pub conflicts_ww: u64,
-    /// Replays caused by the speculative interpreter bailing out (fault
-    /// path, hop budget, unsupported operation).
-    pub aborts: u64,
-    /// Tasks executed directly because the machine configuration is not
-    /// epoch-eligible (trap handlers, tracing, fault injection, ...).
-    pub direct: u64,
-}
-
-impl EpochStats {
-    /// Serializes every counter, in declaration order.
-    pub fn snapshot_encode(&self, enc: &mut SnapEncoder) {
-        enc.u64(self.epochs);
-        enc.u64(self.committed);
-        enc.u64(self.replayed);
-        enc.u64(self.conflicts_rw);
-        enc.u64(self.conflicts_ww);
-        enc.u64(self.aborts);
-        enc.u64(self.direct);
-    }
-
-    /// Total decoder matching [`EpochStats::snapshot_encode`].
-    ///
-    /// # Errors
-    ///
-    /// [`SnapCodecError::Truncated`] if the input ends early.
-    pub fn snapshot_decode(dec: &mut SnapDecoder<'_>) -> Result<EpochStats, SnapCodecError> {
-        Ok(EpochStats {
-            epochs: dec.u64()?,
-            committed: dec.u64()?,
-            replayed: dec.u64()?,
-            conflicts_rw: dec.u64()?,
-            conflicts_ww: dec.u64()?,
-            aborts: dec.u64()?,
-            direct: dec.u64()?,
-        })
     }
 }
 
@@ -290,7 +233,6 @@ impl RunStats {
         enc.u64(self.heap.total_allocated);
         enc.u64(self.heap.allocations);
         enc.u64(self.heap.frees);
-        self.epoch.snapshot_encode(enc);
     }
 
     /// Total decoder matching [`RunStats::snapshot_encode`].
@@ -335,7 +277,6 @@ impl RunStats {
             allocations: dec.u64()?,
             frees: dec.u64()?,
         };
-        let epoch = EpochStats::snapshot_decode(dec)?;
         Ok(RunStats {
             pipeline,
             cache,
@@ -344,7 +285,6 @@ impl RunStats {
             fwd,
             mem,
             heap,
-            epoch,
         })
     }
 }
@@ -366,26 +306,12 @@ pub struct RunStats {
     pub mem: MemStats,
     /// Heap allocator accounting.
     pub heap: HeapStats,
-    /// Epoch-parallel execution accounting (all zero when the engine is
-    /// off, i.e. `epoch_threads == 0`).
-    pub epoch: EpochStats,
 }
 
 impl RunStats {
     /// Total execution cycles.
     pub fn cycles(&self) -> u64 {
         self.pipeline.cycles
-    }
-
-    /// A copy with the [`EpochStats`] block zeroed — the simulated result
-    /// alone, with the host-execution bookkeeping (how many tasks were
-    /// speculated, committed, replayed) removed. Two runs of one workload
-    /// are bit-identical here at *every* `epoch_threads` value including
-    /// zero; the epoch block itself is only identical across counts >= 1.
-    pub fn sans_epoch(&self) -> RunStats {
-        let mut s = *self;
-        s.epoch = EpochStats::default();
-        s
     }
 
     /// Graduation-slot breakdown.
@@ -505,13 +431,6 @@ mod tests {
         s.heap.total_allocated = n();
         s.heap.allocations = n();
         s.heap.frees = n();
-        s.epoch.epochs = n();
-        s.epoch.committed = n();
-        s.epoch.replayed = n();
-        s.epoch.conflicts_rw = n();
-        s.epoch.conflicts_ww = n();
-        s.epoch.aborts = n();
-        s.epoch.direct = n();
         s
     }
 

@@ -68,8 +68,9 @@ pub const JOURNAL_MAGIC: [u8; 8] = *b"MFWDJRNL";
 /// Current journal format version. Bumped on any layout change; old
 /// versions are rejected with [`JournalError::BadVersion`], never
 /// misinterpreted. Version 2 added the incremental frame tail; version 3
-/// extended the embedded `RunStats` codec with the epoch-execution block.
-pub const JOURNAL_VERSION: u32 = 3;
+/// extended the embedded `RunStats` codec with the epoch-execution block
+/// and version 4 removed it again.
+pub const JOURNAL_VERSION: u32 = 4;
 
 /// Leading magic of every append frame in the tail.
 pub const FRAME_MAGIC: [u8; 4] = *b"MFJF";
@@ -726,12 +727,16 @@ mod tests {
 
     #[test]
     fn version_skew_and_bad_magic_are_typed() {
-        let mut img = encode_base(7, &[]);
-        img[8..12].copy_from_slice(&99u32.to_le_bytes());
-        assert_eq!(
-            decode_journal(&img, 7),
-            Err(JournalError::BadVersion { found: 99 })
-        );
+        // Includes the previous version: a journal from an older build is
+        // rejected as typed skew, never decoded under the new layout.
+        for found in [JOURNAL_VERSION - 1, 99] {
+            let mut img = encode_base(7, &[]);
+            img[8..12].copy_from_slice(&found.to_le_bytes());
+            assert_eq!(
+                decode_journal(&img, 7),
+                Err(JournalError::BadVersion { found })
+            );
+        }
         let mut img = encode_base(7, &[]);
         img[0] = b'X';
         assert_eq!(decode_journal(&img, 7), Err(JournalError::BadMagic));

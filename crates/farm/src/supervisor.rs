@@ -601,7 +601,6 @@ pub fn run_campaign(
     } else {
         Some(SweepReport {
             jobs,
-            threads: crate::sweep::epoch_threads(),
             scale: spec.scale,
             cells: slots
                 .into_iter()

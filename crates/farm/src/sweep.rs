@@ -33,8 +33,10 @@ use std::time::Instant;
 
 /// Version stamped into every report; bump when the schema changes shape.
 /// Version 2 added per-cell `outcome`/`attempts` fields and the campaign
-/// `summary` line.
-pub const SCHEMA_VERSION: u64 = 2;
+/// `summary` line; version 3 dropped the speculation engine's host
+/// worker-count line, its per-cell bookkeeping line and its block of
+/// `stats`.
+pub const SCHEMA_VERSION: u64 = 3;
 
 /// The axes of a sweep. Cells are expanded in nested order — app, variant,
 /// line bytes, memory latency, seed — which is also the order of the
@@ -118,7 +120,7 @@ pub struct CellResult {
     pub checksum: u64,
     /// Full simulator statistics.
     pub stats: RunStats,
-    /// Demand references issued (loads + stores).
+    /// Loads plus stores issued.
     pub refs: u64,
     /// Host nanoseconds spent simulating this cell.
     pub host_nanos: u64,
@@ -226,10 +228,6 @@ impl CampaignSummary {
 pub struct SweepReport {
     /// Worker count the sweep ran with.
     pub jobs: usize,
-    /// Per-cell epoch worker count (`SimConfig::epoch_threads`) the cells
-    /// ran with. Host-tuning only — simulated results are bit-identical at
-    /// any value — so it serializes as a `host_`-prefixed field.
-    pub threads: usize,
     /// Scale every cell ran at.
     pub scale: Scale,
     /// Per-cell results, in [`SweepSpec::expand`] order.
@@ -285,24 +283,6 @@ pub fn set_scalar_path(on: bool) {
     SCALAR_PATH.store(on, Ordering::Relaxed);
 }
 
-/// Epoch worker count (`SimConfig::epoch_threads`) for subsequent cells;
-/// the `--threads` flag of `memfwd_sweep`/`memfwd_sim`. 0 (the default)
-/// runs epochs serially in the calling thread. Process-wide, like
-/// [`set_scalar_path`].
-static EPOCH_THREADS: AtomicUsize = AtomicUsize::new(0);
-
-/// Sets the epoch worker count for subsequent cells. Simulated results are
-/// bit-identical at every count ≥ 1 (and differ from 0 only in the
-/// `RunStats::epoch` bookkeeping block); only host speed changes.
-pub fn set_epoch_threads(threads: usize) {
-    EPOCH_THREADS.store(threads, Ordering::Relaxed);
-}
-
-/// The epoch worker count subsequent cells will run with.
-pub fn epoch_threads() -> usize {
-    EPOCH_THREADS.load(Ordering::Relaxed)
-}
-
 /// Runs one cell in-process, mapping a machine fault to a typed error
 /// string instead of panicking. Panics from simulator bugs still unwind;
 /// the worker pool catches those at its boundary.
@@ -313,7 +293,6 @@ pub fn run_cell(scale: Scale, c: CellSpec) -> Result<CellResult, String> {
     cfg.sim = cfg.sim.with_line_bytes(c.line_bytes);
     cfg.sim.hierarchy.mem_latency = c.mem_latency;
     cfg.sim.scalar_path = SCALAR_PATH.load(Ordering::Relaxed);
-    cfg.sim.epoch_threads = EPOCH_THREADS.load(Ordering::Relaxed);
     let t = Instant::now();
     let out = run(c.app, &cfg).map_err(|fault| format!("machine fault: {fault}"))?;
     let host_nanos = t.elapsed().as_nanos() as u64;
@@ -394,7 +373,6 @@ pub fn run_sweep_with(
     }
     SweepReport {
         jobs,
-        threads: epoch_threads(),
         scale: spec.scale,
         cells: slots
             .into_iter()
@@ -452,7 +430,6 @@ impl SweepReport {
         out.push_str(&format!("  \"schema_version\": {SCHEMA_VERSION},\n"));
         out.push_str(&format!("  \"scale\": \"{}\",\n", scale_name(self.scale)));
         out.push_str(&format!("  \"jobs\": {},\n", self.jobs));
-        out.push_str(&format!("  \"host_threads\": {},\n", self.threads));
         out.push_str(&format!(
             "  \"host_wall_nanos\": {},\n",
             self.host_wall_nanos
@@ -488,18 +465,9 @@ impl SweepReport {
                 tail.push(format!("      \"checksum\": \"{:#018x}\"", r.checksum));
                 tail.push(format!("      \"refs\": {}", r.refs));
                 tail.push(format!("      \"cycles\": {}", r.stats.cycles()));
-                // The epoch block records how the host *executed* the cell
-                // (speculation bookkeeping), not what it computed — like
-                // `jobs`, it may differ between an engine-off worker and an
-                // engine-on CLI run, so it rides on a stripped `host_` line
-                // while the deterministic stats stay engine-agnostic.
                 tail.push(format!(
                     "      \"stats\": \"{}\"",
-                    json_escape(&format!("{:?}", r.stats.sans_epoch()))
-                ));
-                tail.push(format!(
-                    "      \"host_epoch\": \"{}\"",
-                    json_escape(&format!("{:?}", r.stats.epoch))
+                    json_escape(&format!("{:?}", r.stats))
                 ));
                 tail.push(format!(
                     "      \"host_refs_per_second\": {:.1}",

@@ -37,8 +37,8 @@ pub const CHAOS_ENV: &str = "MEMFWD_FARM_CHAOS";
 pub const RESULT_MAGIC: [u8; 8] = *b"MFWDCELL";
 
 /// Result-file format version. Version 2 extended the embedded `RunStats`
-/// codec with the epoch-execution block.
-pub const RESULT_VERSION: u32 = 2;
+/// codec with the epoch-execution block; version 3 removed it again.
+pub const RESULT_VERSION: u32 = 3;
 
 const HEADER_BYTES: usize = 28;
 
@@ -164,7 +164,7 @@ pub struct CellResultFile {
     pub key: u64,
     /// Output digest.
     pub checksum: u64,
-    /// Demand references issued.
+    /// Loads plus stores issued.
     pub refs: u64,
     /// Host nanoseconds this worker spent simulating.
     pub host_nanos: u64,
@@ -389,6 +389,22 @@ mod tests {
         bytes[mid] ^= 0x40;
         std::fs::write(&path, &bytes).expect("rewrite");
         assert!(read_result_file(&path).is_err());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn previous_version_result_file_is_typed_skew() {
+        let path = tmp_dir().join("old.result");
+        write_result_file(&path, &sample()).expect("write");
+        let mut bytes = std::fs::read(&path).expect("read bytes");
+        bytes[8..12].copy_from_slice(&(RESULT_VERSION - 1).to_le_bytes());
+        std::fs::write(&path, &bytes).expect("restamp");
+        assert_eq!(
+            read_result_file(&path),
+            Err(JournalError::BadVersion {
+                found: RESULT_VERSION - 1
+            })
+        );
         std::fs::remove_file(&path).ok();
     }
 

@@ -277,6 +277,29 @@ mod tests {
     }
 
     #[test]
+    fn previous_version_entry_is_quarantined_not_served() {
+        use memfwd_farm::worker::RESULT_VERSION;
+        let state = tmp_state("oldversion");
+        let cache = ResultCache::open(&state).expect("open");
+        cache.store(&sample(4)).expect("store");
+        // Re-stamp the entry as sealed by the previous format version.
+        let path = cache.entry_path(4);
+        let mut bytes = std::fs::read(&path).expect("read");
+        bytes[8..12].copy_from_slice(&(RESULT_VERSION - 1).to_le_bytes());
+        std::fs::write(&path, &bytes).expect("restamp");
+        match cache.lookup(4) {
+            CacheLookup::Quarantined(JournalError::BadVersion { found }) => {
+                assert_eq!(found, RESULT_VERSION - 1)
+            }
+            other => panic!("expected a version-skew quarantine: {other:?}"),
+        }
+        assert!(!path.exists(), "the old cell left the cache");
+        assert_eq!(cache.quarantined(), 1);
+        assert!(matches!(cache.lookup(4), CacheLookup::Miss));
+        std::fs::remove_dir_all(&state).ok();
+    }
+
+    #[test]
     fn hot_tier_serves_repeat_lookups_from_memory() {
         let state = tmp_state("hot");
         let cache = ResultCache::open(&state).expect("open");

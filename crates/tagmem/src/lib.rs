@@ -39,7 +39,6 @@ mod chain;
 mod error;
 mod fxhash;
 mod memory;
-pub mod overlay;
 mod page;
 pub mod scan;
 mod snapcodec;
@@ -52,7 +51,6 @@ pub use chain::{
 pub use error::{CycleError, TagMemError};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use memory::{MemStats, PageCursor, TaggedMemory};
-pub use overlay::{merge_mask, PageMask, SpecBase, SpecDelta, SpecView, EMPTY_MASK};
-pub use page::{Page, PAGE_BYTES, PAGE_WORDS};
+pub use page::{PAGE_BYTES, PAGE_WORDS};
 pub use snapcodec::{SnapCodecError, SnapDecoder, SnapEncoder};
 pub use word::{validate_access, Addr, WORD_BYTES};

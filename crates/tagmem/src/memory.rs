@@ -94,11 +94,6 @@ pub struct TaggedMemory {
     index: FxHashMap<u64, u32>,
     /// Micro-TLB: the last `(page number, index into pages)` translation.
     tlb: Cell<(u64, u32)>,
-    /// When armed, records the per-page word bitmap of every mutating
-    /// access — the epoch engine uses it to learn the write footprint of a
-    /// task it had to re-execute directly. `None` (the default) costs one
-    /// predictable branch on the write path.
-    write_log: Option<Box<FxHashMap<u64, crate::overlay::PageMask>>>,
 }
 
 impl Default for TaggedMemory {
@@ -107,7 +102,6 @@ impl Default for TaggedMemory {
             pages: Vec::new(),
             index: FxHashMap::default(),
             tlb: Cell::new((TLB_EMPTY, 0)),
-            write_log: None,
         }
     }
 }
@@ -135,10 +129,6 @@ impl TaggedMemory {
     fn page(&mut self, addr: Addr) -> (&mut Page, usize) {
         let pno = addr.0 / PAGE_BYTES as u64;
         let off = (addr.0 % PAGE_BYTES as u64) as usize;
-        if let Some(log) = self.write_log.as_mut() {
-            let (l, b) = crate::overlay::word_mask_bit(off);
-            log.entry(pno).or_insert(crate::overlay::EMPTY_MASK)[l] |= b;
-        }
         let idx = match self.translate(pno) {
             Some(idx) => idx,
             None => {
@@ -335,67 +325,7 @@ impl TaggedMemory {
             pages,
             index,
             tlb: Cell::new((TLB_EMPTY, 0)),
-            write_log: None,
         })
-    }
-
-    /// The borrowed parts behind [`TaggedMemory::spec_base`] (kept here so
-    /// the fields stay private to this module).
-    pub(crate) fn spec_base_parts(&self) -> crate::overlay::SpecBase<'_> {
-        crate::overlay::SpecBase::new(&self.pages, &self.index)
-    }
-
-    /// Patches the words of `src` selected by `mask` onto the page with
-    /// number `pno` — the commit half of the copy-on-touch speculation
-    /// protocol. Unmasked words (and all forwarding bits, which the
-    /// speculative task surface cannot modify) keep their live values, so
-    /// in-order installs from tasks that wrote *different* words of a
-    /// shared page compose exactly like serial execution. A page that did
-    /// not exist is materialized zero-filled first, exactly as a
-    /// first-touch write would have materialized it.
-    pub fn install_words(&mut self, pno: u64, src: &Page, mask: &crate::overlay::PageMask) {
-        let idx = match self.translate(pno) {
-            Some(idx) => idx,
-            None => {
-                let idx = u32::try_from(self.pages.len()).expect("page count fits u32");
-                self.pages.push(Page::new());
-                self.index.insert(pno, idx);
-                self.tlb.set((pno, idx));
-                idx
-            }
-        };
-        let dst = &mut self.pages[idx as usize];
-        for (li, &limb) in mask.iter().enumerate() {
-            let mut m = limb;
-            while m != 0 {
-                let off = (li * 64 + m.trailing_zeros() as usize) * WORD_BYTES as usize;
-                dst.set_word(off, src.word(off));
-                m &= m - 1;
-            }
-        }
-    }
-
-    /// Arms or disarms the mutation word log (see [`TaggedMemory::take_write_log`]).
-    pub fn set_write_log(&mut self, on: bool) {
-        if on {
-            if self.write_log.is_none() {
-                self.write_log = Some(Box::default());
-            }
-        } else {
-            self.write_log = None;
-        }
-    }
-
-    /// Drains the per-page word bitmaps mutated since the log was armed,
-    /// sorted by page number. Disarms the log.
-    pub fn take_write_log(&mut self) -> Vec<(u64, crate::overlay::PageMask)> {
-        let mut masks: Vec<(u64, crate::overlay::PageMask)> = self
-            .write_log
-            .take()
-            .map(|s| s.into_iter().collect())
-            .unwrap_or_default();
-        masks.sort_unstable_by_key(|&(pno, _)| pno);
-        masks
     }
 
     /// Current occupancy statistics.

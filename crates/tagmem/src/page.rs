@@ -20,13 +20,7 @@ pub(crate) const FBIT_LIMBS: usize = PAGE_WORDS / 64;
 /// vector is one contiguous slab: materializing a page is a bump of the
 /// vector, not a 4 KiB calloc — page-fault-heavy phases (fresh heap growth,
 /// pool slabs) showed the per-page allocation as a top-3 host cost.
-///
-/// The type is public so the speculation overlay ([`crate::overlay`]) can
-/// hand full page copies across crate boundaries, but its contents are
-/// deliberately opaque: all access goes through [`crate::TaggedMemory`] or
-/// [`crate::overlay::SpecView`].
-#[derive(Clone)]
-pub struct Page {
+pub(crate) struct Page {
     data: [u8; PAGE_BYTES],
     fbits: [u64; FBIT_LIMBS],
 }
