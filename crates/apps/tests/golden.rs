@@ -1,4 +1,4 @@
-//! Golden regression tests: checksums and timing counters.
+//! Golden regression tests: checksums, timing counters and full stats.
 //!
 //! The values below were captured from a verified run at smoke scale with
 //! the default seed (12345) and the default `SimConfig`. The checksums pin
@@ -7,13 +7,16 @@
 //! model will show up here as a checksum mismatch. The timing counters pin
 //! the simulated result itself, for both layout variants: a change to the
 //! order in which an app issues its references, or to the pipeline, cache
-//! or forwarding models, will show up as a counter mismatch.
+//! or forwarding models, will show up as a counter mismatch. The full
+//! statistics hash pins every other counter as well — all three variants,
+//! the complete `RunStats` `Debug` rendering every statdump derives from —
+//! while the six readable counters still name the counter that moved.
 //!
 //! If a workload or timing model is changed *intentionally*, regenerate the
-//! table by running each app × variant at smoke scale and pasting the new
-//! values.
+//! tables by running each app × variant at smoke scale and pasting the new
+//! values (the full-stats test prints every mismatching hash).
 
-use memfwd::RunStats;
+use memfwd::{fnv1a64, RunStats};
 use memfwd_apps::{run_ok as run, App, RunConfig, Variant};
 
 /// `[pipeline.cycles, pipeline.dispatched, cache.l2_misses, bytes_l2_mem,
@@ -83,6 +86,45 @@ const GOLDEN: [(App, u64, Timing, Timing); 8] = [
     ),
 ];
 
+/// FNV-1a-64 of the full `RunStats` `Debug` rendering, per app, for
+/// `[original, optimized, static]`.
+const FULL_STATS: [(App, [u64; 3]); 8] = [
+    (
+        App::Health,
+        [0xcfda97a4013912be, 0x979e4501a7d51251, 0x9881daf382ab41a7],
+    ),
+    (
+        App::Mst,
+        [0x03ddb31177b9f93c, 0x191089846138ecd9, 0x03ddb31177b9f93c],
+    ),
+    (
+        App::Radiosity,
+        [0xb11d4ed8c18aa3a7, 0x88ffd687d606e02e, 0xb11d4ed8c18aa3a7],
+    ),
+    (
+        App::Vis,
+        [0xf9b5625b3fa9c129, 0xd83a225bbd39277a, 0x646414cea272bff5],
+    ),
+    (
+        App::Eqntott,
+        [0x5167e5de552db339, 0x7c29e318aa3694d8, 0xda9059227b1fffb2],
+    ),
+    (
+        App::Bh,
+        [0x29d06d1378e601f9, 0xf630923f624e02af, 0x29d06d1378e601f9],
+    ),
+    (
+        App::Compress,
+        [0x1569de0f7d6421b9, 0x465aadea4e05459c, 0x1569de0f7d6421b9],
+    ),
+    (
+        App::Smv,
+        [0x068ea1d4ed72b06d, 0xdf2dbd350273fe36, 0x068ea1d4ed72b06d],
+    ),
+];
+
+const VARIANTS: [Variant; 3] = [Variant::Original, Variant::Optimized, Variant::Static];
+
 #[test]
 fn smoke_checksums_match_golden_values() {
     for (app, want, _, _) in GOLDEN {
@@ -121,4 +163,28 @@ fn smoke_timing_counters_match_golden_values() {
             );
         }
     }
+}
+
+#[test]
+fn smoke_full_run_stats_match_golden_hashes() {
+    let mut mismatches = Vec::new();
+    for (app, want) in FULL_STATS {
+        for (variant, want) in VARIANTS.into_iter().zip(want) {
+            let stats = run(app, &RunConfig::new(variant).smoke()).stats;
+            let got = fnv1a64(format!("{stats:?}").as_bytes());
+            if got != want {
+                mismatches.push(format!(
+                    "{app} {variant:?}: {got:#018x} != {want:#018x} \
+                     (cycles, dispatched, l2_misses, bytes_l2_mem, loads, stores = {:?})",
+                    timing(&stats)
+                ));
+            }
+        }
+    }
+    assert!(
+        mismatches.is_empty(),
+        "full RunStats hash mismatch. If the change is intentional, update \
+         tests/golden.rs.\n{}",
+        mismatches.join("\n")
+    );
 }
