@@ -75,12 +75,7 @@ fn run_fingerprint(cfg: &RunConfig) -> u64 {
         "{:?}|{}|{}|{:?}|{}|{:?}",
         cfg.variant, cfg.prefetch, cfg.prefetch_lines, cfg.scale, cfg.seed, cfg.linearize_threshold
     );
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in repr.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    memfwd::fnv1a64(repr.as_bytes())
 }
 
 impl Checkpointer {

@@ -4,8 +4,7 @@
 //! counter exceeds a threshold (the paper used 50).
 
 use crate::common::rng::Rng;
-use crate::common::with_batch;
-use memfwd::{list_linearize, list_walk, BatchDep, ListDesc, Machine, Token, BATCH_CAPACITY};
+use memfwd::{list_linearize, list_walk, ListDesc, Machine, Token};
 use memfwd_tagmem::{Addr, Pool};
 
 /// Head-record layout (4 words): `[first, count, mutations, reserved]`.
@@ -85,22 +84,9 @@ impl ListLib {
         assert!((payload.len() as u64) < self.desc.node_words);
         let node = m.malloc(self.desc.node_words * 8);
         let first = m.load_ptr(head + FIRST);
-        // The node-initializer stores are a basic-block window over a
-        // freshly allocated contiguous record: emit them as one batch.
-        if payload.len() < BATCH_CAPACITY {
-            with_batch(|b, out| {
-                b.set_span(node, 1 + payload.len() as u64);
-                b.push_store(node, 8, first.0, BatchDep::Ready);
-                for (i, &v) in payload.iter().enumerate() {
-                    b.push_store(node.add_words(1 + i as u64), 8, v, BatchDep::Ready);
-                }
-                m.run_batch(b, out);
-            });
-        } else {
-            m.store_ptr(node, first);
-            for (i, &v) in payload.iter().enumerate() {
-                m.store_word(node.add_words(1 + i as u64), v);
-            }
+        m.store_ptr(node, first);
+        for (i, &v) in payload.iter().enumerate() {
+            m.store_word(node.add_words(1 + i as u64), v);
         }
         m.store_ptr(head + FIRST, node);
         self.bump(m, head, 1, pool);

@@ -8,30 +8,6 @@ pub use listlib::{scatter_pad, scatter_pad_if, ListLib, PrefetchMode};
 pub use rng::Rng;
 
 use crate::registry::{RunConfig, Variant};
-use memfwd::{BatchOut, RefBatch};
-use std::cell::RefCell;
-
-thread_local! {
-    /// Reusable reference-batch scratch shared by every emission site on
-    /// this thread, so the batched hot loops allocate nothing in steady
-    /// state (the `BatchOut` arena grows once and is reused forever).
-    static BATCH_SCRATCH: RefCell<(RefBatch, BatchOut)> =
-        RefCell::new((RefBatch::new(), BatchOut::new()));
-}
-
-/// Runs `f` with the thread's cleared reference batch and its reusable
-/// results arena. Re-entrant calls (an emission site nested inside
-/// another's closure) fall back to a fresh local scratch.
-pub fn with_batch<R>(f: impl FnOnce(&mut RefBatch, &mut BatchOut) -> R) -> R {
-    BATCH_SCRATCH.with(|s| match s.try_borrow_mut() {
-        Ok(mut guard) => {
-            let (batch, out) = &mut *guard;
-            batch.clear();
-            f(batch, out)
-        }
-        Err(_) => f(&mut RefBatch::new(), &mut BatchOut::new()),
-    })
-}
 
 /// The prefetch policy for list traversals implied by a run configuration:
 /// the paper's `NP` case prefetches one node ahead through the next

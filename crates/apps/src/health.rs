@@ -9,9 +9,9 @@
 //! is exactly the optimization the paper applies.
 
 use crate::ckpt::{bad_cursor, Checkpointer, CkOutcome, CursorR};
-use crate::common::{prefetch_mode, scatter_pad_if, with_batch, ListLib, PrefetchMode, Rng};
+use crate::common::{prefetch_mode, scatter_pad_if, ListLib, PrefetchMode, Rng};
 use crate::registry::{AppOutput, RunConfig, Scale, Variant};
-use memfwd::{BatchDep, Machine, MachineFault};
+use memfwd::{Machine, MachineFault};
 use memfwd_tagmem::Addr;
 
 /// Patient node: `[next, id, time_in_system, severity]`.
@@ -187,13 +187,8 @@ pub fn run_ck(cfg: &RunConfig, ck: &mut Checkpointer) -> Result<CkOutcome, Machi
         // as the original program's `check_patients_*` routines do.
         for v in &villages {
             lib.traverse(&mut m, v.list, mode, |m, node, tok| {
-                let (id, sev, t2) = with_batch(|b, out| {
-                    b.set_span(node.add_words(1), 3);
-                    b.push_load(node.add_words(1), 8, BatchDep::External(tok));
-                    b.push_load(node.add_words(3), 8, BatchDep::Prev(0));
-                    m.run_batch(b, out);
-                    (out.val(0), out.val(1), out.tok(1))
-                });
+                let (id, t1) = m.load_word_dep(node.add_words(1), tok);
+                let (sev, t2) = m.load_word_dep(node.add_words(3), t1);
                 m.compute(2);
                 checksum = checksum.wrapping_add(id ^ sev);
                 t2
@@ -211,17 +206,9 @@ pub fn run_ck(cfg: &RunConfig, ck: &mut Checkpointer) -> Result<CkOutcome, Machi
             let mut cands = Vec::new();
             let mut idx = 0u64;
             lib.traverse(&mut m, v.list, mode, |m, node, tok| {
-                let (id, time, sev, t3) = with_batch(|b, out| {
-                    b.set_span(node.add_words(1), 3);
-                    b.push_load(node.add_words(1), 8, BatchDep::External(tok));
-                    b.push_load(node.add_words(2), 8, BatchDep::Prev(0));
-                    b.push_load(node.add_words(3), 8, BatchDep::Prev(1));
-                    m.run_batch(b, out);
-                    (out.val(0), out.val(1), out.val(2), out.tok(2))
-                });
-                // The stored value depends on `time`, loaded in the same
-                // window — values are fixed at batch build, so the store
-                // stays scalar after the batch (same order, same cycles).
+                let (id, t1) = m.load_word_dep(node.add_words(1), tok);
+                let (time, t2) = m.load_word_dep(node.add_words(2), t1);
+                let (sev, t3) = m.load_word_dep(node.add_words(3), t2);
                 let t4 = m.store_dep(node.add_words(2), 8, time + 1, t3);
                 m.compute(4); // diagnosis arithmetic
                 if has_parent {
@@ -257,15 +244,11 @@ pub fn run_ck(cfg: &RunConfig, ck: &mut Checkpointer) -> Result<CkOutcome, Machi
                 let mut first: Option<(u64, u64, u64)> = None;
                 lib.traverse(&mut m, w, PrefetchMode::None, |m, node, tok| {
                     if first.is_none() {
-                        return with_batch(|b, out| {
-                            b.set_span(node.add_words(1), 3);
-                            b.push_load(node.add_words(1), 8, BatchDep::External(tok));
-                            b.push_load(node.add_words(2), 8, BatchDep::Prev(0));
-                            b.push_load(node.add_words(3), 8, BatchDep::Prev(1));
-                            m.run_batch(b, out);
-                            first = Some((out.val(0), out.val(1), out.val(2)));
-                            out.tok(2)
-                        });
+                        let (id, t1) = m.load_word_dep(node.add_words(1), tok);
+                        let (time, t2) = m.load_word_dep(node.add_words(2), t1);
+                        let (sev, t3) = m.load_word_dep(node.add_words(3), t2);
+                        first = Some((id, time, sev));
+                        return t3;
                     }
                     tok
                 });
@@ -295,13 +278,8 @@ pub fn run_ck(cfg: &RunConfig, ck: &mut Checkpointer) -> Result<CkOutcome, Machi
     for (vi, v) in villages.iter().enumerate() {
         let mut local = 0u64;
         lib.traverse(&mut m, v.list, mode, |m, node, tok| {
-            let (id, time, t2) = with_batch(|b, out| {
-                b.set_span(node.add_words(1), 2);
-                b.push_load(node.add_words(1), 8, BatchDep::External(tok));
-                b.push_load(node.add_words(2), 8, BatchDep::Prev(0));
-                m.run_batch(b, out);
-                (out.val(0), out.val(1), out.tok(1))
-            });
+            let (id, t1) = m.load_word_dep(node.add_words(1), tok);
+            let (time, t2) = m.load_word_dep(node.add_words(2), t1);
             local = local
                 .wrapping_add(id.wrapping_mul(31).wrapping_add(time))
                 .rotate_left(1);

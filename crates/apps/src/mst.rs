@@ -10,9 +10,9 @@
 //! mutate it) and every bucket list (once, after construction).
 
 use crate::ckpt::{bad_cursor, Checkpointer, CkOutcome, CursorR};
-use crate::common::{prefetch_mode, scatter_pad, with_batch, PrefetchMode, Rng};
+use crate::common::{prefetch_mode, scatter_pad, PrefetchMode, Rng};
 use crate::registry::{AppOutput, RunConfig, Scale, Variant};
-use memfwd::{list_linearize, list_walk, BatchDep, ListDesc, Machine, MachineFault, Token};
+use memfwd::{list_linearize, list_walk, ListDesc, Machine, MachineFault, Token};
 use memfwd_tagmem::Addr;
 
 /// Vertex node: `[next, id, mindist, buckets_ptr]`.
@@ -131,17 +131,9 @@ pub fn run_ck(cfg: &RunConfig, ck: &mut Checkpointer) -> Result<CkOutcome, Machi
                 }
                 PrefetchMode::None => {}
             }
-            // The vertex-record fields are one contiguous window behind the
-            // node pointer: emit the id/mindist/buckets loads as a single
-            // batch with the same chained dependences as the scalar code.
-            let (id, mindist, buckets, t3) = with_batch(|b, out| {
-                b.set_span(v.add_words(1), 3);
-                b.push_load(v.add_words(1), 8, BatchDep::External(tok));
-                b.push_load(v.add_words(2), 8, BatchDep::Prev(0));
-                b.push_load(v.add_words(3), 8, BatchDep::Prev(1));
-                m.run_batch(b, out);
-                (out.val(0), out.val(1), Addr(out.val(2)), out.tok(2))
-            });
+            let (id, t1) = m.load_word_dep(v.add_words(1), tok);
+            let (mindist, t2) = m.load_word_dep(v.add_words(2), t1);
+            let (buckets, t3) = m.load_ptr_dep(v.add_words(3), t2);
             // Hash lookup of `chosen` in v's table.
             let slot = buckets.add_words(chosen % p.buckets);
             let (mut e, mut et) = m.load_ptr_dep(slot, t3);

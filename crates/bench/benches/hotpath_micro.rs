@@ -5,7 +5,7 @@
 //! *host* speed; simulated timing is covered by the golden tests.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use memfwd::{BatchDep, BatchOut, Machine, RefBatch, SimConfig, BATCH_CAPACITY};
+use memfwd::{Machine, SimConfig};
 use memfwd_cache::{AccessKind, Hierarchy, HierarchyConfig, MshrFile};
 use memfwd_tagmem::{resolve_with_scratch, Addr, TaggedMemory, DEFAULT_HOP_LIMIT, PAGE_BYTES};
 use std::hint::black_box;
@@ -149,85 +149,9 @@ fn bench_machine_refs(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_bitmap_scan(c: &mut Criterion) {
-    let mut group = c.benchmark_group("bitmap_scan");
-    let mut mem = TaggedMemory::new();
-    // Touch two pages so the scan crosses a page boundary in the long
-    // case; all forwarding bits stay clear (the batch-path common case).
-    mem.write_data(Addr(0x10_000), 8, 1);
-    mem.write_data(Addr(0x10_000 + PAGE_BYTES as u64), 8, 1);
-    group.bench_function("clear_range_4_words", |b| {
-        b.iter(|| black_box(mem.fbits_clear_range(black_box(Addr(0x10_040)), 4)))
-    });
-    group.bench_function("clear_range_32_words", |b| {
-        b.iter(|| black_box(mem.fbits_clear_range(black_box(Addr(0x10_040)), 32)))
-    });
-    group.bench_function("clear_range_cross_page_512_words", |b| {
-        let base = Addr(0x10_000 + PAGE_BYTES as u64 - 256 * 8);
-        b.iter(|| black_box(mem.fbits_clear_range(black_box(base), 512)))
-    });
-    // One set bit near the end: the scan must walk almost the whole span
-    // before failing — the worst case for the chunked kernel.
-    let mut dirty = TaggedMemory::new();
-    dirty.unforwarded_write(Addr(0x10_000 + 31 * 8), 0x9000, true);
-    group.bench_function("clear_range_32_words_hit_at_31", |b| {
-        b.iter(|| black_box(dirty.fbits_clear_range(black_box(Addr(0x10_000)), 32)))
-    });
-    group.finish();
-}
-
-fn bench_batch_translate(c: &mut Criterion) {
-    let mut group = c.benchmark_group("batch_translate");
-    // A full-capacity load window over one record, span hint set: one
-    // bitmap scan certifies the window, then every op runs the
-    // streamlined path. This is the shape the apps emit per visited node.
-    let mut m = Machine::new(SimConfig::default());
-    let a = m.malloc(BATCH_CAPACITY as u64 * 8);
-    for i in 0..BATCH_CAPACITY as u64 {
-        m.store_word(a.add_words(i), 100 + i);
-    }
-    let mut batch = RefBatch::new();
-    batch.set_span(a, BATCH_CAPACITY as u64);
-    for i in 0..BATCH_CAPACITY as u64 {
-        batch.push_load(a.add_words(i), 8, BatchDep::Ready);
-    }
-    let mut out = BatchOut::new();
-    group.bench_function("load_window_32_span_clear", |b| {
-        b.iter(|| {
-            m.run_batch(black_box(&batch), &mut out);
-            black_box(out.last_tok())
-        })
-    });
-    // The same window without the span hint: per-op fast-path probes.
-    let mut no_span = RefBatch::new();
-    for i in 0..BATCH_CAPACITY as u64 {
-        no_span.push_load(a.add_words(i), 8, BatchDep::Ready);
-    }
-    group.bench_function("load_window_32_no_span", |b| {
-        b.iter(|| {
-            m.run_batch(black_box(&no_span), &mut out);
-            black_box(out.last_tok())
-        })
-    });
-    // A dependent chain inside the window (pointer-walk shape).
-    let mut chained = RefBatch::new();
-    chained.set_span(a, 8);
-    let mut prev = chained.push_load(a, 8, BatchDep::Ready);
-    for i in 1..8u64 {
-        prev = chained.push_load(a.add_words(i), 8, BatchDep::Prev(prev as u8));
-    }
-    group.bench_function("load_chain_8_prev_deps", |b| {
-        b.iter(|| {
-            m.run_batch(black_box(&chained), &mut out);
-            black_box(out.last_tok())
-        })
-    });
-    group.finish();
-}
-
 fn bench_mshr_probe(c: &mut Criterion) {
     let mut group = c.benchmark_group("mshr_probe");
-    // A populated MSHR file probed the way a batch of misses probes it:
+    // A populated MSHR file probed the way a run of misses probes it:
     // repeated in_flight checks against the flat lane-chunked array.
     let mut mshr = MshrFile::new(8);
     for i in 0..8u64 {
@@ -269,8 +193,6 @@ criterion_group!(
     bench_resolve,
     bench_cache_probe,
     bench_machine_refs,
-    bench_bitmap_scan,
-    bench_batch_translate,
     bench_mshr_probe
 );
 criterion_main!(benches);

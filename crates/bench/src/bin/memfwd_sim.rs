@@ -25,10 +25,6 @@ OPTIONS:
     --variant <v>           original|optimized|static (default: original)
     --perfect-forwarding    model the Fig. 10 `Perf` bound
     --no-speculation        disable data-dependence speculation
-    --scalar                force the fully general scalar demand path
-                            (disables the batched/fast path; statistics are
-                            bit-identical either way — this flag exists to
-                            prove it)
     --line-bytes <n>        cache line size, power of two >= 16 (default: 32)
     --mem-latency <n>       main-memory latency in cycles (default: 75)
     --prefetch <blocks>     enable software prefetching with this block size
@@ -121,7 +117,6 @@ fn parse() -> Result<Cli, String> {
             }
             "--perfect-forwarding" => cfg.sim.perfect_forwarding = true,
             "--no-speculation" => cfg.sim.dependence_speculation = false,
-            "--scalar" => cfg.sim.scalar_path = true,
             "--line-bytes" => {
                 let v: u64 = next_val(&mut args, "--line-bytes")?
                     .parse()

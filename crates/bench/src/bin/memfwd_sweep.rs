@@ -53,11 +53,6 @@ OPTIONS:
     --selftest              also time the fixed single-run probe cell
                             (health/optimized) and record its
                             refs-per-second in the report
-    --scalar                force the fully general scalar demand path
-                            for every cell and the selftest (disables the
-                            batched hot path; simulated results are
-                            bit-identical, only host speed changes);
-                            local in-process runs only
     --lint-preflight        before the grid, capture and verify the
                             relocation schedule of every app x variant in
                             the spec at smoke scale; any MF0xx error
@@ -124,7 +119,6 @@ struct Cli {
     jobs: usize,
     out: std::path::PathBuf,
     selftest: bool,
-    scalar: bool,
     lint_preflight: bool,
     supervised: bool,
     farm_dir: std::path::PathBuf,
@@ -165,7 +159,6 @@ fn parse() -> Result<Mode, String> {
     let mut jobs = memfwd_bench::host_parallelism();
     let mut out = std::path::PathBuf::from("BENCH_sweep.json");
     let mut want_selftest = false;
-    let mut scalar = false;
     let mut lint_preflight = false;
     let mut supervised = false;
     let mut farm_dir = std::path::PathBuf::from("target/farm");
@@ -233,7 +226,6 @@ fn parse() -> Result<Mode, String> {
             }
             "--out" => out = std::path::PathBuf::from(next_val(&mut args, "--out")?),
             "--selftest" => want_selftest = true,
-            "--scalar" => scalar = true,
             "--lint-preflight" => lint_preflight = true,
             "--supervised" => supervised = true,
             "--farm-dir" => farm_dir = std::path::PathBuf::from(next_val(&mut args, "--farm-dir")?),
@@ -332,15 +324,11 @@ fn parse() -> Result<Mode, String> {
     if job_timeout_ms.is_some() && submit.is_none() {
         return Err("--job-timeout-ms requires --submit".into());
     }
-    if scalar && (supervised || submit.is_some()) {
-        return Err("--scalar applies to local in-process runs only".into());
-    }
     Ok(Mode::Sweep(Box::new(Cli {
         spec,
         jobs,
         out,
         selftest: want_selftest,
-        scalar,
         lint_preflight,
         supervised,
         farm_dir,
@@ -646,10 +634,6 @@ fn main() {
 
     if cli.lint_preflight {
         run_lint_preflight(&cli.spec);
-    }
-
-    if cli.scalar {
-        memfwd_bench::sweep::set_scalar_path(true);
     }
 
     let selftest_rps = if cli.selftest {

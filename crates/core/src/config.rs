@@ -76,12 +76,6 @@ pub struct SimConfig {
     pub checkpoint_every: Option<u64>,
     /// Bounded-progress watchdog (see [`WatchdogConfig`]).
     pub watchdog: WatchdogConfig,
-    /// Forces every demand reference down the fully general scalar path,
-    /// disabling the streamlined unforwarded fast path. The two paths are
-    /// bit-identical by construction; this escape hatch exists so the
-    /// differential tests (and a suspicious user) can prove it on any run
-    /// via `--scalar`.
-    pub scalar_path: bool,
     /// Shared-memory consistency model of the SMP machine (see
     /// [`MemoryModel`]). [`MemoryModel::Sc`] — the default — keeps the
     /// SMP machine bit-identical to its pre-TSO behaviour; the
@@ -196,7 +190,6 @@ impl Default for SimConfig {
             fault_injection: None,
             checkpoint_every: None,
             watchdog: WatchdogConfig::default(),
-            scalar_path: false,
             memory_model: MemoryModel::Sc,
         }
     }
@@ -230,13 +223,6 @@ impl SimConfig {
     /// Returns a copy checkpointing every `refs` demand references.
     pub fn with_checkpoint_every(mut self, refs: u64) -> Self {
         self.checkpoint_every = Some(refs);
-        self
-    }
-
-    /// Returns a copy that forces the fully general scalar demand path
-    /// (the `--scalar` escape hatch used to prove fast-path bit-identity).
-    pub fn with_scalar_path(mut self) -> Self {
-        self.scalar_path = true;
         self
     }
 

@@ -95,7 +95,10 @@ pub struct Injector {
     pub log: Vec<Corruption>,
 }
 
-fn splitmix64(state: &mut u64) -> u64 {
+/// One step of the [splitmix64](https://prng.di.unimi.it/splitmix64.c)
+/// generator: advances `state` and returns the next output. Shared by the
+/// fault injector and the farm's retry-backoff jitter.
+pub fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);

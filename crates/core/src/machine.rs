@@ -10,7 +10,7 @@ use crate::trace::{Trace, TraceKind, TraceRecord};
 use crate::trap::{FaultHandler, TrapInfo, TrapOutcome, MAX_FAULT_RETRIES};
 use memfwd_cache::{AccessKind, Hierarchy};
 use memfwd_cpu::{OpClass, Pipeline, SpecQueue, Token};
-use memfwd_tagmem::{validate_access, Addr, Heap, PageCursor, Pool, TaggedMemory, WORD_BYTES};
+use memfwd_tagmem::{validate_access, Addr, Heap, Pool, TaggedMemory, WORD_BYTES};
 use std::collections::HashSet;
 
 /// The execution-driven simulator.
@@ -56,14 +56,6 @@ pub struct Machine {
     /// Reusable scratch for the chain walk's accurate cycle check, so even
     /// walks that trip the hop limit allocate nothing in steady state.
     pub(crate) walk_scratch: Vec<Addr>,
-    /// True when no observer (injector, pager, tracer, traps, handler,
-    /// store buffer, watchdog, `--scalar`) is attached, so demand
-    /// references may take the streamlined unforwarded fast path.
-    /// Recomputed by [`Machine::recompute_fast_ok`] at every toggle site.
-    pub(crate) fast_ok: bool,
-    /// Page-run translation cache for the fast path: consecutive references
-    /// to one page pay a single page-table lookup.
-    pub(crate) ref_cursor: PageCursor,
 }
 
 /// Outcome of a timed forwarding-chain walk.
@@ -84,7 +76,7 @@ struct Walk {
 impl Machine {
     /// Builds a machine from a configuration.
     pub fn new(cfg: SimConfig) -> Machine {
-        let mut m = Machine {
+        Machine {
             mem: TaggedMemory::new(),
             heap: Heap::with_policy(cfg.heap_base, cfg.heap_capacity, cfg.alloc_policy),
             hier: Hierarchy::new(cfg.hierarchy),
@@ -102,41 +94,13 @@ impl Machine {
             walk_hops_window: std::collections::VecDeque::new(),
             walk_hops_sum: 0,
             walk_scratch: Vec::new(),
-            fast_ok: false,
-            ref_cursor: PageCursor::empty(),
             cfg,
-        };
-        m.recompute_fast_ok();
-        m
+        }
     }
 
     /// The configuration in force.
     pub fn config(&self) -> &SimConfig {
         &self.cfg
-    }
-
-    /// Recomputes [`Machine::fast_ok`]. The fast path is legal only when
-    /// every optional observer that the general path consults is absent, so
-    /// that the streamlined hop-0 body is *exactly* the general body with
-    /// its dead branches folded away — the source of the two paths'
-    /// bit-identity. Called from every site that attaches or detaches an
-    /// observer; a stale `false` only costs speed, never correctness.
-    pub(crate) fn recompute_fast_ok(&mut self) {
-        self.fast_ok = !self.cfg.scalar_path
-            && self.injector.is_none()
-            && self.pages.is_none()
-            && self.trace.is_none()
-            && !self.traps_enabled
-            && self.fault_handler.is_none()
-            && self.cfg.store_buffer_entries.is_none()
-            && self.cfg.watchdog.stall_cycles.is_none()
-            && self.cfg.watchdog.walk_hop_budget.is_none();
-    }
-
-    /// Whether demand references are currently eligible for the
-    /// streamlined unforwarded fast path (diagnostics/tests).
-    pub fn fast_path_enabled(&self) -> bool {
-        self.fast_ok
     }
 
     /// Cache line size in bytes — applications use this for clustering and
@@ -480,102 +444,9 @@ impl Machine {
         Ok((out, Token::at(complete)))
     }
 
-    /// The streamlined demand path for the overwhelmingly common case: an
-    /// unforwarded reference on a machine with no observers attached
-    /// ([`Machine::fast_ok`]). Returns `None` — having changed nothing but
-    /// the page cursor, which is not architectural state — whenever any
-    /// precondition fails, and the caller falls through to the general
-    /// path.
-    ///
-    /// Bit-identity argument: under `fast_ok` the general path's optional
-    /// branches (injector, pager, tracer, trap log, store buffer, watchdog,
-    /// fault delivery) are all no-ops, and with the forwarding bit clear
-    /// the walk is zero hops with `final_addr == addr`, `fwd_cycles == 0`
-    /// and `final_word` equal to the word just probed — under perfect
-    /// forwarding the resolve degenerates to the same thing. What remains
-    /// of the general body is exactly the sequence below, in the same
-    /// order, so every counter, cache line, pipeline slot and speculation
-    /// entry evolves identically.
-    pub(crate) fn demand_fast(
-        &mut self,
-        is_store: bool,
-        addr: Addr,
-        size: u64,
-        val: u64,
-        dep: Token,
-    ) -> Option<(u64, Token)> {
-        if addr.is_null() || validate_access(addr, size).is_err() {
-            return None;
-        }
-        // Pure pre-probe: word + forwarding bit through the run cursor (one
-        // page lookup for a whole same-page run of references).
-        let mut cur = self.ref_cursor;
-        let (word, fbit) = self.mem.read_word_tagged_run(addr, &mut cur);
-        self.ref_cursor = cur;
-        if fbit {
-            return None;
-        }
-        let d = self.pipe.dispatch();
-        let mut start = d.max(dep.cycle());
-        if !self.cfg.dependence_speculation && !is_store {
-            start = start.max(self.last_store_resolve);
-        }
-        let wb = addr.word_base().0;
-        let kind = if is_store {
-            AccessKind::Store
-        } else {
-            AccessKind::Load
-        };
-        let acc = self.hier.access(start, wb, kind);
-        let mut complete = acc.complete_at;
-        let out;
-        if is_store {
-            self.mem.write_data(addr, size, val);
-            self.spec.on_store(wb, wb, acc.complete_at);
-            self.last_store_resolve = self.last_store_resolve.max(acc.complete_at);
-            self.stats.stores += 1;
-            self.stats.store_cycles += complete - start;
-            self.stats.store_hops[0] += 1;
-            self.pipe
-                .complete(OpClass::Store, d, complete, acc.l1_miss());
-            out = 0;
-        } else {
-            out = if size == WORD_BYTES {
-                word
-            } else {
-                (word >> (8 * (addr.0 & 7))) & ((1u64 << (8 * size)) - 1)
-            };
-            debug_assert_eq!(out, self.mem.read_data(addr, size));
-            if self.cfg.dependence_speculation {
-                if let Some(v) = self.spec.check_load(start, wb, wb) {
-                    self.stats.misspeculations += 1;
-                    self.pipe.replay(v.store_resolved_at);
-                    complete = complete.max(v.store_resolved_at + self.cfg.pipeline.replay_penalty);
-                }
-            }
-            self.stats.loads += 1;
-            self.stats.load_cycles += complete - start;
-            self.stats.load_hops[0] += 1;
-            self.pipe
-                .complete(OpClass::Load, d, complete, acc.l1_miss());
-        }
-        Some((out, Token::at(complete)))
-    }
-
     /// One demand reference through the full fault machinery: injection at
     /// entry, then attempt; on fault, delivery to the registered supervisor
     /// handler with bounded retries (paper §3.2 recoverable traps).
-    pub(crate) fn try_demand_entry(
-        &mut self,
-        is_store: bool,
-        addr: Addr,
-        size: u64,
-        val: u64,
-        dep: Token,
-    ) -> Result<(u64, Token), MachineFault> {
-        self.try_demand(is_store, addr, size, val, dep)
-    }
-
     fn try_demand(
         &mut self,
         is_store: bool,
@@ -584,11 +455,6 @@ impl Machine {
         val: u64,
         dep: Token,
     ) -> Result<(u64, Token), MachineFault> {
-        if self.fast_ok {
-            if let Some(out) = self.demand_fast(is_store, addr, size, val, dep) {
-                return Ok(out);
-            }
-        }
         self.maybe_inject(addr);
         let mut retries = 0u32;
         loop {
@@ -705,7 +571,6 @@ impl Machine {
         if self.fault_handler.is_none() {
             self.fault_handler = Some(handler);
         }
-        self.recompute_fast_ok();
         outcome
     }
 
@@ -716,14 +581,12 @@ impl Machine {
     /// ask for a bounded retry. Replaces any previous handler.
     pub fn set_fault_handler(&mut self, handler: FaultHandler) {
         self.fault_handler = Some(handler);
-        self.recompute_fast_ok();
     }
 
     /// Removes the supervisor trap handler; subsequent faults propagate
     /// directly to the caller.
     pub fn clear_fault_handler(&mut self) {
         self.fault_handler = None;
-        self.recompute_fast_ok();
     }
 
     /// Whether a supervisor trap handler is currently registered.
@@ -1237,7 +1100,6 @@ impl Machine {
     /// `trap_penalty` extra cycles and is recorded.
     pub fn set_traps_enabled(&mut self, enabled: bool) {
         self.traps_enabled = enabled;
-        self.recompute_fast_ok();
     }
 
     /// Drains the recorded trap events (profiling-tool style: the
@@ -1262,14 +1124,11 @@ impl Machine {
     /// `capacity` records (older runs' records are kept until taken).
     pub fn enable_trace(&mut self, capacity: usize) {
         self.trace = Some(Trace::new(capacity));
-        self.recompute_fast_ok();
     }
 
     /// Stops tracing and returns `(records, dropped_count)`.
     pub fn take_trace(&mut self) -> (Vec<TraceRecord>, u64) {
-        let out = self.trace.take().map(|mut t| t.take()).unwrap_or_default();
-        self.recompute_fast_ok();
-        out
+        self.trace.take().map(|mut t| t.take()).unwrap_or_default()
     }
 
     // ------------------------------------------------------------------

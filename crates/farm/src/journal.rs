@@ -54,7 +54,7 @@
 //! semantically identical to — an append that never returned.
 
 use crate::sweep::{CellOutcome, CellReport, CellSpec, SweepSpec};
-use memfwd::RunStats;
+use memfwd::{fnv1a64, RunStats};
 use memfwd_apps::Scale;
 use memfwd_tagmem::{SnapCodecError, SnapDecoder, SnapEncoder};
 use std::collections::HashMap;
@@ -135,17 +135,6 @@ impl From<SnapCodecError> for JournalError {
             SnapCodecError::BadValue => JournalError::BadValue,
         }
     }
-}
-
-/// FNV-1a 64-bit, the same torn-write/bit-rot detector the snapshot
-/// container uses (crash safety, not adversarial integrity).
-pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// Content hash of one cell's configuration: the journal key. Covers the

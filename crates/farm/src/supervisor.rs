@@ -338,14 +338,6 @@ impl CellRunner for SubprocessRunner {
     }
 }
 
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Deterministic exponential backoff with jitter: attempt `n` (0-based
 /// count of failures so far) waits in `[base·2ⁿ/2, base·2ⁿ]` ms, the
 /// jitter drawn from splitmix64 over `(seed, key, n)`.
@@ -354,7 +346,7 @@ pub fn backoff_delay(seed: u64, key: u64, attempt: u32, base_ms: u64) -> Duratio
         return Duration::ZERO;
     }
     let exp = base_ms.saturating_mul(1u64 << attempt.min(6));
-    let h = splitmix64(seed ^ key.rotate_left(17) ^ u64::from(attempt));
+    let h = memfwd::splitmix64(&mut (seed ^ key.rotate_left(17) ^ u64::from(attempt)));
     let jitter = h % (exp / 2 + 1);
     Duration::from_millis(exp / 2 + jitter)
 }

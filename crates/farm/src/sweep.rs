@@ -270,19 +270,6 @@ pub fn describe_panic(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// When set, every cell (and the selftest probe) runs with
-/// `SimConfig::scalar_path`: the fully general one-reference-at-a-time
-/// demand path, the batched hot path's escape hatch and differential
-/// baseline. Process-wide because the worker pool shares one spec.
-static SCALAR_PATH: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
-
-/// Forces (or restores) the scalar demand path for subsequent cells; the
-/// `--scalar` flag of `memfwd_sweep`. Simulated results are bit-identical
-/// either way — only host speed changes.
-pub fn set_scalar_path(on: bool) {
-    SCALAR_PATH.store(on, Ordering::Relaxed);
-}
-
 /// Runs one cell in-process, mapping a machine fault to a typed error
 /// string instead of panicking. Panics from simulator bugs still unwind;
 /// the worker pool catches those at its boundary.
@@ -292,7 +279,6 @@ pub fn run_cell(scale: Scale, c: CellSpec) -> Result<CellResult, String> {
     cfg.seed = c.seed;
     cfg.sim = cfg.sim.with_line_bytes(c.line_bytes);
     cfg.sim.hierarchy.mem_latency = c.mem_latency;
-    cfg.sim.scalar_path = SCALAR_PATH.load(Ordering::Relaxed);
     let t = Instant::now();
     let out = run(c.app, &cfg).map_err(|fault| format!("machine fault: {fault}"))?;
     let host_nanos = t.elapsed().as_nanos() as u64;

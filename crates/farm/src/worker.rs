@@ -22,9 +22,9 @@
 //! supervisor: `panic` unwinds, `abort` dies by SIGABRT, `hang` spins
 //! forever (exercising the no-progress deadline).
 
-use crate::journal::{fnv1a64, JournalError};
+use crate::journal::JournalError;
 use crate::sweep::{CellResult, CellSpec};
-use memfwd::RunStats;
+use memfwd::{fnv1a64, RunStats};
 use memfwd_apps::{run_ck, Checkpointer, CkOutcome, RunConfig, Scale};
 use std::path::{Path, PathBuf};
 use std::time::Instant;

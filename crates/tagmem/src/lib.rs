@@ -40,7 +40,6 @@ mod error;
 mod fxhash;
 mod memory;
 mod page;
-pub mod scan;
 mod snapcodec;
 mod word;
 
@@ -50,7 +49,7 @@ pub use chain::{
 };
 pub use error::{CycleError, TagMemError};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
-pub use memory::{MemStats, PageCursor, TaggedMemory};
+pub use memory::{MemStats, TaggedMemory};
 pub use page::{PAGE_BYTES, PAGE_WORDS};
 pub use snapcodec::{SnapCodecError, SnapDecoder, SnapEncoder};
 pub use word::{validate_access, Addr, WORD_BYTES};

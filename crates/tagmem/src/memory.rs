@@ -33,37 +33,6 @@ impl MemStats {
 /// `u64::MAX * PAGE_BYTES`, which does not exist.
 const TLB_EMPTY: u64 = u64::MAX;
 
-/// An explicit per-batch translation cursor: holds the last page
-/// translation so a run of references to one page — the typical
-/// basic-block window — pays a single map probe for the whole run.
-///
-/// Unlike the memory's built-in micro-TLB (which it complements), the
-/// cursor is owned by the caller, so the batch executor keeps its
-/// translation in a register across the window instead of re-reading a
-/// shared `Cell`. Pages are never deallocated, so a cached index can never
-/// go stale within a run; discard cursors across snapshot restores.
-#[derive(Debug, Clone, Copy)]
-pub struct PageCursor {
-    pno: u64,
-    idx: u32,
-}
-
-impl PageCursor {
-    /// A cursor holding no translation.
-    pub fn empty() -> PageCursor {
-        PageCursor {
-            pno: TLB_EMPTY,
-            idx: 0,
-        }
-    }
-}
-
-impl Default for PageCursor {
-    fn default() -> PageCursor {
-        PageCursor::empty()
-    }
-}
-
 /// A sparse, paged, byte-addressable 64-bit memory where every word carries
 /// a forwarding bit.
 ///
@@ -226,46 +195,6 @@ impl TaggedMemory {
     #[inline]
     pub fn unforwarded_read(&self, addr: Addr) -> (u64, bool) {
         self.read_word_tagged(addr)
-    }
-
-    /// [`TaggedMemory::read_word_tagged`] through a caller-owned
-    /// [`PageCursor`]: a run of same-page reads translates once.
-    #[inline]
-    pub fn read_word_tagged_run(&self, addr: Addr, cur: &mut PageCursor) -> (u64, bool) {
-        let base = addr.word_base();
-        let pno = base.0 / PAGE_BYTES as u64;
-        let off = (base.0 % PAGE_BYTES as u64) as usize;
-        if cur.pno != pno {
-            match self.translate(pno) {
-                Some(idx) => *cur = PageCursor { pno, idx },
-                None => return (0, false),
-            }
-        }
-        let p = &self.pages[cur.idx as usize];
-        (p.word(off), p.fbit(off))
-    }
-
-    /// True when none of the `n_words` words starting at the word containing
-    /// `addr` have their forwarding bit set — the whole range is walk-free.
-    ///
-    /// Scans each touched page's bitmap with the u64-lane kernel in
-    /// [`crate::scan`]; unmaterialized pages are clear by construction
-    /// (§3.3 zero-initialization), so they pass without a probe.
-    pub fn fbits_clear_range(&self, addr: Addr, n_words: u64) -> bool {
-        let mut w = addr.word_base().0 / WORD_BYTES;
-        let end = w + n_words; // first word past the range
-        while w < end {
-            let pno = w / PAGE_WORDS as u64;
-            let w0 = (w % PAGE_WORDS as u64) as usize;
-            let in_page = ((PAGE_WORDS as u64 - w0 as u64).min(end - w)) as usize;
-            if let Some(idx) = self.translate(pno) {
-                if !self.pages[idx as usize].fbits_none_in(w0, in_page) {
-                    return false;
-                }
-            }
-            w += in_page as u64;
-        }
-        true
     }
 
     /// The `Unforwarded_Write` ISA extension (paper Fig. 3): atomically
@@ -461,40 +390,5 @@ mod tests {
     fn debug_nonempty() {
         let mem = TaggedMemory::new();
         assert!(!format!("{mem:?}").is_empty());
-    }
-
-    #[test]
-    fn page_cursor_reads_match_plain_reads() {
-        let mut mem = TaggedMemory::new();
-        for i in 0..32u64 {
-            mem.write_data(Addr(0x1000 + i * 8), 8, i * 3);
-        }
-        mem.set_fbit(Addr(0x1010), true);
-        let mut cur = PageCursor::empty();
-        // Same-page run, a cross-page hop, a cold page, and back.
-        for a in [0x1000u64, 0x1008, 0x1010, 0x9000, 0x1018, 0x7_0000] {
-            assert_eq!(
-                mem.read_word_tagged_run(Addr(a), &mut cur),
-                mem.read_word_tagged(Addr(a)),
-                "addr {a:#x}"
-            );
-        }
-    }
-
-    #[test]
-    fn fbits_clear_range_crosses_pages() {
-        let mut mem = TaggedMemory::new();
-        // Materialize two adjacent pages; set one bit near the boundary.
-        mem.write_data(Addr(0x1000), 8, 1);
-        mem.write_data(Addr(0x2000), 8, 1);
-        assert!(mem.fbits_clear_range(Addr(0x1000), 1024));
-        mem.set_fbit(Addr(0x1FF8), true);
-        assert!(mem.fbits_clear_range(Addr(0x1000), 511));
-        assert!(!mem.fbits_clear_range(Addr(0x1000), 512));
-        assert!(!mem.fbits_clear_range(Addr(0x1FF8), 1));
-        assert!(mem.fbits_clear_range(Addr(0x2000), 512));
-        // Unmaterialized pages are clear by construction.
-        assert!(mem.fbits_clear_range(Addr(0x100_0000), 4096));
-        assert!(mem.fbits_clear_range(Addr(0x1FF8), 0), "empty range");
     }
 }

@@ -82,14 +82,6 @@ impl Page {
         self.fbits.iter().map(|l| l.count_ones()).sum()
     }
 
-    /// True when none of the `n_words` words starting at word index `w0`
-    /// have their forwarding bit set. Scans whole 64-word limbs with masked
-    /// ends — the u64-lane kernel behind the batch path's walk-free check.
-    #[inline]
-    pub(crate) fn fbits_none_in(&self, w0: usize, n_words: usize) -> bool {
-        crate::scan::bits_none_in(&self.fbits, w0, n_words)
-    }
-
     /// Raw views of the page contents for snapshot encoding.
     pub(crate) fn raw(&self) -> (&[u8; PAGE_BYTES], &[u64; FBIT_LIMBS]) {
         (&self.data, &self.fbits)
