@@ -7,6 +7,7 @@
 //! plans that execute correctly but pay for it (extra hops) or look like
 //! schedule bugs.
 
+use memfwd::json_escape;
 use memfwd_tagmem::Addr;
 use std::fmt;
 
@@ -305,22 +306,6 @@ impl DenySet {
     pub fn denied<'r>(&'r self, report: &'r Report) -> impl Iterator<Item = &'r Diagnostic> {
         report.diagnostics.iter().filter(move |d| self.denies(d))
     }
-}
-
-/// Escapes `s` for a JSON string body: quotes, backslashes and every
-/// control character below 0x20.
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Renders one report as human-readable text.

@@ -53,9 +53,9 @@
 //!   pair, and the canonical TSO certification must report a race
 //!   (MF009 or MF010).
 
-use crate::diag::{json_escape, Code, Report, Verdict};
+use crate::diag::{Code, Report, Verdict};
 use crate::race::{analyze_trace, race_report};
-use memfwd::{MemoryModel, SimConfig, SmpConfig, SmpEvent, SmpMachine};
+use memfwd::{json_escape, MemoryModel, SimConfig, SmpConfig, SmpEvent, SmpMachine};
 use memfwd_tagmem::Addr;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 

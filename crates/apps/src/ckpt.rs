@@ -11,6 +11,16 @@
 //! snapshot — whether to capture `(machine, cursor)` into one
 //! [`memfwd::save_machine`] image.
 //!
+//! A to-file checkpointer with no explicit cadence spaces its images by
+//! their cost: the next image waits until at least
+//! [`DEFAULT_CHECKPOINT_EVERY`] references *and* at least as many
+//! references as the previous image had bytes have been issued. Writing
+//! an image costs time roughly linear in its bytes and simulating costs
+//! time roughly linear in references, so this bounds image writing to a
+//! small share of the run on any machine size. The rule reads only
+//! reference counts and image sizes, never host time, so the images a
+//! run writes are deterministic.
+//!
 //! Because a boundary only *reads* the machine, a checkpointed run issues
 //! exactly the same simulated references as an unmonitored one: resuming
 //! from any boundary reproduces the uninterrupted run's checksum **and**
@@ -30,7 +40,10 @@ use memfwd_tagmem::{Addr, Pool};
 use std::path::PathBuf;
 
 /// Default checkpoint cadence in demand references, used when neither the
-/// checkpointer nor `SimConfig::checkpoint_every` specifies one.
+/// checkpointer nor `SimConfig::checkpoint_every` specifies one (a to-file
+/// checkpointer then also waits out the previous image's size, see the
+/// module docs). It is also the heartbeat period of
+/// [`Checkpointer::with_heartbeat`].
 pub const DEFAULT_CHECKPOINT_EVERY: u64 = 1 << 14;
 
 /// How a checkpointed run ended.
@@ -57,6 +70,12 @@ pub struct Checkpointer {
     mode: Mode,
     every: Option<u64>,
     cadence: u64,
+    /// Whether images are also spaced by the previous image's bytes (a
+    /// to-file run with no explicit cadence).
+    cost_bounded: bool,
+    last_image_bytes: u64,
+    heartbeat: Option<Box<dyn FnMut() + Send>>,
+    refs_at_beat: u64,
     resume: Option<Vec<u8>>,
     captured: Option<Vec<u8>>,
     refs_at_last: u64,
@@ -84,6 +103,10 @@ impl Checkpointer {
             mode,
             every: None,
             cadence: DEFAULT_CHECKPOINT_EVERY,
+            cost_bounded: false,
+            last_image_bytes: 0,
+            heartbeat: None,
+            refs_at_beat: 0,
             resume: None,
             captured: None,
             refs_at_last: 0,
@@ -111,11 +134,21 @@ impl Checkpointer {
         Checkpointer::with_mode(Mode::File { path })
     }
 
-    /// Overrides the checkpoint cadence in demand references. Without
-    /// this, `SimConfig::checkpoint_every` applies, then
-    /// [`DEFAULT_CHECKPOINT_EVERY`].
+    /// Overrides the checkpoint cadence in demand references: a boundary
+    /// fires every `refs` references, whatever the image size. Without
+    /// this, `SimConfig::checkpoint_every` applies, then the default
+    /// cadence (see the module docs).
     pub fn with_every(mut self, refs: u64) -> Checkpointer {
         self.every = Some(refs.max(1));
+        self
+    }
+
+    /// Calls `beat` from the boundary hook every
+    /// [`DEFAULT_CHECKPOINT_EVERY`] demand references, whether or not an
+    /// image is written — a liveness signal that costs nothing like an
+    /// image does. Works in every mode, [`Checkpointer::disabled`] included.
+    pub fn with_heartbeat(mut self, beat: impl FnMut() + Send + 'static) -> Checkpointer {
+        self.heartbeat = Some(Box::new(beat));
         self
     }
 
@@ -140,11 +173,9 @@ impl Checkpointer {
     /// rebases the reference clock so a resumed run does not immediately
     /// re-checkpoint.
     pub(crate) fn begin(&mut self, cfg: &RunConfig) -> Result<(Machine, Vec<u64>), MachineFault> {
-        self.cadence = self
-            .every
-            .or(cfg.sim.checkpoint_every)
-            .unwrap_or(DEFAULT_CHECKPOINT_EVERY)
-            .max(1);
+        let explicit = self.every.or(cfg.sim.checkpoint_every);
+        self.cadence = explicit.unwrap_or(DEFAULT_CHECKPOINT_EVERY).max(1);
+        self.cost_bounded = explicit.is_none() && matches!(self.mode, Mode::File { .. });
         self.run_fp = run_fingerprint(cfg);
         match self.resume.take() {
             Some(image) => {
@@ -160,10 +191,14 @@ impl Checkpointer {
                 }
                 cursor.remove(0);
                 self.refs_at_last = refs_of(&m);
+                self.refs_at_beat = self.refs_at_last;
+                self.last_image_bytes = image.len() as u64;
                 Ok((m, cursor))
             }
             None => {
                 self.refs_at_last = 0;
+                self.refs_at_beat = 0;
+                self.last_image_bytes = 0;
                 Ok((Machine::new(cfg.sim), Vec::new()))
             }
         }
@@ -177,11 +212,22 @@ impl Checkpointer {
         m: &Machine,
         cursor: impl FnOnce() -> Vec<u64>,
     ) -> Result<bool, MachineFault> {
+        let refs = refs_of(m);
+        if let Some(beat) = &mut self.heartbeat {
+            if refs.saturating_sub(self.refs_at_beat) >= DEFAULT_CHECKPOINT_EVERY {
+                self.refs_at_beat = refs;
+                beat();
+            }
+        }
         if matches!(self.mode, Mode::Disabled) {
             return Ok(false);
         }
-        let refs = refs_of(m);
-        if refs.saturating_sub(self.refs_at_last) < self.cadence {
+        let spacing = if self.cost_bounded {
+            self.cadence.max(self.last_image_bytes)
+        } else {
+            self.cadence
+        };
+        if refs.saturating_sub(self.refs_at_last) < spacing {
             return Ok(false);
         }
         self.refs_at_last = refs;
@@ -197,6 +243,7 @@ impl Checkpointer {
                 let image = memfwd::save_machine(m, &self.stamped(cursor()));
                 memfwd::write_snapshot_file(path, &image)
                     .map_err(|error| MachineFault::CorruptSnapshot { error })?;
+                self.last_image_bytes = image.len() as u64;
             }
             Mode::Disabled => {}
         }

@@ -36,7 +36,9 @@ OPTIONS:
                             <dir>/<app>.ckpt (atomic temp-file + rename);
                             the run's results are unaffected
     --checkpoint-every <n>  checkpoint cadence in demand references
-                            (default: 16384)
+                            (default: at least 16384 references and at
+                            least the previous snapshot's size in bytes
+                            apart)
     --resume <file>         resume from a snapshot written by
                             --checkpoint-dir; all other flags must match
                             the configuration that wrote the snapshot

@@ -78,11 +78,14 @@ SUPERVISED CAMPAIGNS:
                             attempt (default: 2)
     --backoff-ms <n>        base retry backoff in milliseconds, doubling
                             per retry with seeded jitter (default: 50)
-    --cell-timeout-ms <n>   kill a worker making no checkpoint progress
-                            for this long; the attempt counts as timed
+    --cell-timeout-ms <n>   kill a worker that sends no heartbeat for
+                            this long (workers beat every 16384 demand
+                            references); the attempt counts as timed
                             out (default: off)
     --ckpt-every <n>        worker checkpoint cadence in demand
-                            references (default: application default)
+                            references (default: at least 16384 refs
+                            and at least the last image's size in
+                            bytes apart; liveness does not depend on it)
     --chaos <spec>          inject failures by cell index for testing:
                             panic@I,abort@J,hang@K (panic/abort fire on
                             attempt 0 only; hang fires every attempt)

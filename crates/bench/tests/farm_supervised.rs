@@ -10,6 +10,7 @@ use memfwd_bench::sweep::{run_sweep, strip_volatile_lines, validate_report};
 use memfwd_farm::SweepSpec;
 use std::path::{Path, PathBuf};
 use std::process::Command;
+use std::time::Instant;
 
 const SWEEP_EXE: &str = env!("CARGO_BIN_EXE_memfwd_sweep");
 const SIM_EXE: &str = env!("CARGO_BIN_EXE_memfwd_sim");
@@ -121,6 +122,57 @@ fn hang_is_killed_typed_and_degrades_the_campaign() {
     assert!(report.contains("no progress for"));
     // The healthy sibling cell completed normally.
     assert!(report.contains("\"outcome\": \"ok\""));
+}
+
+#[test]
+fn heartbeats_keep_a_long_cell_alive_with_no_checkpoint_image() {
+    // Liveness rides the worker's stdout heartbeat, not its checkpoint
+    // file: with images pushed out of reach, a cell that runs several
+    // times its no-progress deadline still completes on its first
+    // attempt. The deadline is a third of the cell's in-process run time,
+    // so the cell outlives it in any build profile; vis at bench scale
+    // heartbeats at least every fifteenth of its run.
+    let spec = SweepSpec {
+        apps: vec![App::Vis],
+        variants: vec![Variant::Original],
+        scale: Scale::Bench,
+        ..cli_spec(&[App::Vis])
+    };
+    let t = Instant::now();
+    let golden = strip_volatile_lines(&run_sweep(&spec, 1).to_json());
+    let timeout_ms = (t.elapsed().as_millis() / 3).max(1).to_string();
+    let dir = tmp_dir("heartbeat");
+    let out = dir.join("report.json");
+    let output = sweep_cmd(
+        &spec.apps,
+        &dir,
+        &out,
+        &[
+            "--variants",
+            "original",
+            "--scale",
+            "bench",
+            "--jobs",
+            "1",
+            "--retries",
+            "0",
+            "--cell-timeout-ms",
+            &timeout_ms,
+            "--ckpt-every",
+            "4611686018427387904",
+        ],
+    )
+    .output()
+    .expect("spawn supervisor");
+    assert!(
+        output.status.success(),
+        "a live cell must not be killed (deadline {timeout_ms} ms): {}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    let report = std::fs::read_to_string(&out).expect("report written");
+    assert!(report.contains("\"outcome\": \"ok\""), "{report}");
+    assert!(report.contains("\"attempts\": 1,"), "{report}");
+    assert_eq!(strip_volatile_lines(&report), golden);
 }
 
 #[test]

@@ -87,3 +87,21 @@ pub use trap::{FaultHandler, TrapInfo, TrapOutcome, MAX_FAULT_RETRIES};
 pub use memfwd_cache::{CacheStats, HierarchyConfig};
 pub use memfwd_cpu::{PipelineConfig, SlotCounts, Token};
 pub use memfwd_tagmem::{Addr, Pool, WORD_BYTES};
+
+/// Escapes `s` for a JSON string body: quotes, backslashes, `\n`, and
+/// every other control character below 0x20 as `\uXXXX`. Shared by every
+/// JSON the workspace writes: sweep reports, service responses, and the
+/// analyzer's diagnostics and litmus results.
+pub fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for ch in s.chars() {
+        match ch {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
+}

@@ -6,8 +6,6 @@
 //! subset (objects, arrays, strings with the common escapes, f64 numbers,
 //! literals) and keeps object fields in document order.
 
-use std::fmt::Write as _;
-
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -280,28 +278,10 @@ pub fn parse_json(text: &str) -> Result<Json, String> {
     Ok(v)
 }
 
-/// Escapes `s` for embedding between JSON double quotes.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use memfwd::json_escape;
 
     #[test]
     fn parse_roundtrip_and_accessors() {

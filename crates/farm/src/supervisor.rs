@@ -34,12 +34,14 @@ use crate::sweep::{
 };
 use crate::worker::{read_result_file, CHAOS_ENV};
 use memfwd_apps::Scale;
+use std::io::Read;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::process::{Command, Stdio};
+use std::process::{ChildStdout, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Mutex};
-use std::time::{Duration, Instant, SystemTime};
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::Mutex;
+use std::time::{Duration, Instant};
 
 /// Supervision policy for one campaign.
 #[derive(Debug, Clone)]
@@ -54,9 +56,9 @@ pub struct FarmOptions {
     pub backoff_ms: u64,
     /// Seed of the deterministic backoff jitter.
     pub backoff_seed: u64,
-    /// No-progress deadline per worker attempt. A worker whose checkpoint
-    /// has not advanced for this long is killed and the attempt counts as
-    /// timed out. `None` disables the monitor.
+    /// No-progress deadline per worker attempt. A worker that sends no
+    /// heartbeat for this long is killed and the attempt counts as timed
+    /// out. `None` disables the deadline.
     pub cell_timeout: Option<Duration>,
     /// Testing knob: stop the campaign cold after this many journal
     /// appends, as if the supervisor had been SIGKILLed there.
@@ -204,23 +206,29 @@ impl ChaosSpec {
 /// Runs each attempt in a freshly spawned worker process (the
 /// `memfwd_sweep --worker-cell` mode of `exe`), with the sealed
 /// result-file protocol and a no-progress deadline monitor.
+///
+/// The worker's stdout is a heartbeat pipe: the worker writes one byte
+/// every [`memfwd_apps::DEFAULT_CHECKPOINT_EVERY`] demand references, and
+/// a reader thread forwards each read to the monitor. A heartbeat re-arms
+/// the deadline, end-of-file means the worker exited and is reaped at
+/// once, and a deadline with no heartbeat kills the worker as stalled.
+/// Liveness is thus independent of how often the worker writes
+/// checkpoint images.
 #[derive(Debug)]
 pub struct SubprocessRunner {
     /// The binary to re-exec (normally `std::env::current_exe()`).
     pub exe: PathBuf,
     /// Directory for result and checkpoint files.
     pub farm_dir: PathBuf,
-    /// No-progress deadline per attempt.
+    /// No-progress deadline per attempt: the longest a worker may go
+    /// without a heartbeat.
     pub cell_timeout: Option<Duration>,
     /// Worker checkpoint cadence in demand references; `None` leaves the
-    /// application default.
+    /// application's cost-bounded default. Liveness does not depend on it.
     pub ckpt_every: Option<u64>,
     /// Failure-injection plan for chaos campaigns.
     pub chaos: ChaosSpec,
 }
-
-/// How often the deadline monitor polls a worker.
-const POLL_INTERVAL: Duration = Duration::from_millis(20);
 
 fn scale_name(scale: Scale) -> &'static str {
     match scale {
@@ -268,18 +276,55 @@ impl SubprocessRunner {
         if let Some(every) = self.ckpt_every {
             cmd.arg("--ckpt-every").arg(every.to_string());
         }
-        cmd.stdout(Stdio::null()).stderr(Stdio::inherit());
+        cmd.stdout(Stdio::piped()).stderr(Stdio::inherit());
         cmd.env_remove(CHAOS_ENV);
         if let Some(directive) = self.chaos.directive(ctx.index, ctx.attempt) {
             cmd.env(CHAOS_ENV, directive);
         }
         cmd.spawn().map_err(|e| format!("spawning worker: {e}"))
     }
+}
 
-    fn ckpt_mtime(&self, key: u64) -> Option<SystemTime> {
-        std::fs::metadata(self.ckpt_path(key))
-            .and_then(|m| m.modified())
-            .ok()
+/// Forwards each read of a worker's heartbeat pipe to the returned
+/// channel, which disconnects when the worker closes the pipe (exits).
+fn forward_heartbeats(mut pipe: ChildStdout) -> std::io::Result<mpsc::Receiver<()>> {
+    let (tx, rx) = mpsc::channel();
+    std::thread::Builder::new()
+        .name("worker-heartbeat".into())
+        .spawn(move || {
+            let mut buf = [0u8; 64];
+            loop {
+                match pipe.read(&mut buf) {
+                    Ok(0) => break,
+                    Ok(_) => {
+                        if tx.send(()).is_err() {
+                            break;
+                        }
+                    }
+                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                    Err(_) => break,
+                }
+            }
+        })?;
+    Ok(rx)
+}
+
+/// Waits on a worker's heartbeats until the worker exits (`Ok`) or
+/// `deadline` passes without a heartbeat (`Err(deadline)`).
+fn beats_until_exit(
+    beats: &mpsc::Receiver<()>,
+    deadline: Option<Duration>,
+) -> Result<(), Duration> {
+    let Some(deadline) = deadline else {
+        while beats.recv().is_ok() {}
+        return Ok(());
+    };
+    loop {
+        match beats.recv_timeout(deadline) {
+            Ok(()) => {}
+            Err(RecvTimeoutError::Disconnected) => return Ok(()),
+            Err(RecvTimeoutError::Timeout) => return Err(deadline),
+        }
     }
 }
 
@@ -289,36 +334,30 @@ impl CellRunner for SubprocessRunner {
             Ok(child) => child,
             Err(e) => return Attempt::Failed(e),
         };
-        // No-progress deadline, PR-2 watchdog style: the clock rearms
-        // whenever the worker's checkpoint advances, so a slow-but-alive
-        // cell is never shot while a wedged one always is.
-        let mut last_progress = Instant::now();
-        let mut last_mtime = self.ckpt_mtime(ctx.key);
-        let status = loop {
-            match child.try_wait() {
-                Ok(Some(status)) => break status,
-                Ok(None) => {}
-                Err(e) => {
-                    child.kill().ok();
-                    child.wait().ok();
-                    return Attempt::Failed(format!("waiting for worker: {e}"));
-                }
+        // No-progress deadline, like the simulator's progress watchdog:
+        // the clock re-arms on every heartbeat, so a slow-but-alive cell
+        // is never shot while a wedged one always is.
+        let beats = child
+            .stdout
+            .take()
+            .ok_or_else(|| std::io::Error::other("stdout not piped"))
+            .and_then(forward_heartbeats);
+        let beats = match beats {
+            Ok(beats) => beats,
+            Err(e) => {
+                child.kill().ok();
+                child.wait().ok();
+                return Attempt::Failed(format!("reading worker heartbeats: {e}"));
             }
-            if let Some(deadline) = self.cell_timeout {
-                let mtime = self.ckpt_mtime(ctx.key);
-                if mtime != last_mtime {
-                    last_mtime = mtime;
-                    last_progress = Instant::now();
-                }
-                if last_progress.elapsed() > deadline {
-                    child.kill().ok();
-                    child.wait().ok();
-                    return Attempt::TimedOut(format!(
-                        "no progress for {deadline:?}; worker killed"
-                    ));
-                }
-            }
-            std::thread::sleep(POLL_INTERVAL);
+        };
+        if let Err(deadline) = beats_until_exit(&beats, self.cell_timeout) {
+            child.kill().ok();
+            child.wait().ok();
+            return Attempt::TimedOut(format!("no progress for {deadline:?}; worker killed"));
+        }
+        let status = match child.wait() {
+            Ok(status) => status,
+            Err(e) => return Attempt::Failed(format!("waiting for worker: {e}")),
         };
         if !status.success() {
             return Attempt::Failed(format!("worker exited with {status}"));

@@ -23,8 +23,8 @@
 //! run; [`validate_report`] checks the schema (see EXPERIMENTS.md for the
 //! field-by-field description).
 
-use crate::minijson::{json_escape, parse_json, Json};
-use memfwd::RunStats;
+use crate::minijson::{parse_json, Json};
+use memfwd::{json_escape, RunStats};
 use memfwd_apps::{run, App, RunConfig, Scale, Variant};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};

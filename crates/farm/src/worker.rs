@@ -17,6 +17,11 @@
 //! resumes from it. A corrupt or config-skewed leftover is deleted and
 //! the cell restarts from zero — degraded to slow, never to wrong.
 //!
+//! Liveness is separate from durability: the worker writes one heartbeat
+//! byte to its stdout every [`memfwd_apps::DEFAULT_CHECKPOINT_EVERY`]
+//! demand references, whether or not an image is due, and the
+//! supervisor's no-progress deadline re-arms on those bytes.
+//!
 //! Chaos injection for the test suite and the CI chaos job is driven by
 //! the `MEMFWD_FARM_CHAOS` environment variable, set per-attempt by the
 //! supervisor: `panic` unwinds, `abort` dies by SIGABRT, `hang` spins
@@ -26,6 +31,7 @@ use crate::journal::JournalError;
 use crate::sweep::{CellResult, CellSpec};
 use memfwd::{fnv1a64, RunStats};
 use memfwd_apps::{run_ck, Checkpointer, CkOutcome, RunConfig, Scale};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
@@ -280,6 +286,19 @@ fn obey_chaos() {
 /// corrupt or config-skewed leftovers are deleted and the cell restarts
 /// fresh.
 pub fn run_worker_cell(args: &WorkerArgs) -> i32 {
+    run_cell_beating(args, heartbeat)
+}
+
+/// One heartbeat byte on stdout for the supervisor's deadline monitor.
+/// Write errors are ignored: the heartbeat is advisory, and a worker
+/// must not fail its cell because nobody is listening.
+fn heartbeat() {
+    let mut out = std::io::stdout().lock();
+    let _ = out.write_all(b".").and_then(|()| out.flush());
+}
+
+/// [`run_worker_cell`] with the heartbeat sink as a parameter.
+fn run_cell_beating(args: &WorkerArgs, beat: impl FnMut() + Send + 'static) -> i32 {
     obey_chaos();
     let c = args.spec;
     let mut cfg = RunConfig::new(c.variant);
@@ -314,7 +333,8 @@ pub fn run_worker_cell(args: &WorkerArgs) -> i32 {
             ck
         }
         None => Checkpointer::disabled(),
-    };
+    }
+    .with_heartbeat(beat);
 
     let t = Instant::now();
     let out = match run_ck(c.app, &cfg, &mut ck) {
@@ -430,14 +450,21 @@ mod tests {
         let key = cell_key(Scale::Smoke, &spec);
         let result_file = dir.join("mst.result");
         let ckpt_file = dir.join("mst.ckpt");
-        let code = run_worker_cell(&WorkerArgs {
-            spec,
-            scale: Scale::Smoke,
-            key,
-            result_file: result_file.clone(),
-            ckpt_file: Some(ckpt_file.clone()),
-            ckpt_every: Some(64),
-        });
+        let beats = std::sync::Arc::new(std::sync::atomic::AtomicU64::new(0));
+        let counter = beats.clone();
+        let code = run_cell_beating(
+            &WorkerArgs {
+                spec,
+                scale: Scale::Smoke,
+                key,
+                result_file: result_file.clone(),
+                ckpt_file: Some(ckpt_file.clone()),
+                ckpt_every: Some(64),
+            },
+            move || {
+                counter.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            },
+        );
         assert_eq!(code, 0);
         let r = read_result_file(&result_file).expect("result file");
         assert_eq!(r.key, key);
@@ -445,6 +472,15 @@ mod tests {
         assert_eq!(r.checksum, direct.checksum);
         assert_eq!(r.stats, direct.stats);
         assert_eq!(r.refs, direct.refs);
+        // One heartbeat per DEFAULT_CHECKPOINT_EVERY refs, independent of
+        // the image cadence; boundaries fall a little past each multiple.
+        let beats = beats.load(std::sync::atomic::Ordering::Relaxed);
+        let most = r.refs / memfwd_apps::DEFAULT_CHECKPOINT_EVERY;
+        assert!(
+            beats > 0 && beats <= most,
+            "{beats} heartbeats over {} refs",
+            r.refs
+        );
         assert!(!ckpt_file.exists(), "checkpoint cleaned up on success");
         std::fs::remove_file(&result_file).ok();
     }

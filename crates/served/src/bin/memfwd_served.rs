@@ -24,8 +24,11 @@ OPTIONS:
     --max-queued-cells N     admission bound: unfinished cells [4096]
     --max-cells-per-job N    largest accepted submission [65536]
     --in-process             run cells in-process (no worker subprocesses)
-    --cell-timeout-ms MS     default per-cell no-progress deadline
-    --ckpt-every N           worker checkpoint cadence (demand refs)
+    --cell-timeout-ms MS     default per-cell no-progress deadline: a
+                             worker silent this long is killed (workers
+                             heartbeat every 16384 demand refs)
+    --ckpt-every N           worker checkpoint cadence in demand refs
+                             [>= 16384 refs and >= last image bytes]
     --resume                 re-enqueue unfinished jobs from the state dir
     --help                   print this help
 

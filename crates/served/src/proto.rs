@@ -27,8 +27,9 @@
 //! axes the `memfwd_sweep` CLI takes, so the client mode can forward its
 //! flags verbatim.
 
+use memfwd::json_escape;
 use memfwd_apps::{App, Scale, Variant};
-use memfwd_farm::minijson::{json_escape, parse_json, Json};
+use memfwd_farm::minijson::{parse_json, Json};
 use memfwd_farm::SweepSpec;
 
 /// Per-job supervision options a client may attach to `submit`. Missing

@@ -32,7 +32,8 @@
 use crate::cache::{CacheLookup, ResultCache};
 use crate::proto::{self, JobOptions, Request, StatsSnapshot};
 use crate::signal;
-use memfwd_farm::minijson::{json_escape, parse_json, Json};
+use memfwd::json_escape;
+use memfwd_farm::minijson::{parse_json, Json};
 use memfwd_farm::worker::CellResultFile;
 use memfwd_farm::{
     campaign_fingerprint, run_campaign, Attempt, CellCtx, CellRunner, ChaosSpec, FarmOptions,
