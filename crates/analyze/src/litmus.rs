@@ -523,7 +523,9 @@ fn run_schedule(
                     }
                     Instr::Lock { loc } => m.try_lock(c, addr(loc)).map_err(fail)?,
                     Instr::Unlock { loc } => m.try_unlock(c, addr(loc)).map_err(fail)?,
-                    Instr::Reloc { src, dst, words } => m.relocate(c, addr(src), addr(dst), *words),
+                    Instr::Reloc { src, dst, words } => m
+                        .try_relocate(c, addr(src), addr(dst), *words)
+                        .map_err(fail)?,
                 }
             }
             Step::Drain(c) => {

@@ -28,7 +28,7 @@
 //! certify.
 
 use crate::diag::{Report, Verdict};
-use crate::verify::verify_plan;
+use crate::verify::{verify_plan, walk};
 use memfwd::{RelocPlan, RelocStep};
 use memfwd_tagmem::Addr;
 use std::collections::HashMap;
@@ -73,23 +73,6 @@ pub enum RepairOutcome {
     },
 }
 
-/// Walks `start`'s chain in `fwd`. Returns `None` on a cycle.
-fn walk(fwd: &HashMap<u64, u64>, start: Addr) -> Option<(Addr, u32)> {
-    let mut cur = start.word_base().0;
-    let mut seen = std::collections::HashSet::new();
-    seen.insert(cur);
-    let mut hops = 0u32;
-    while let Some(&next) = fwd.get(&cur) {
-        let next = Addr(next).word_base().0;
-        hops += 1;
-        if !seen.insert(next) {
-            return None;
-        }
-        cur = next;
-    }
-    Some((Addr(cur), hops))
-}
-
 /// Replays `plan` against the forwarding graph it builds, rewriting each
 /// single-word step whose target is already forwarded to that target's
 /// current terminal. Later steps replay against the *rewritten* graph,
@@ -109,7 +92,7 @@ fn rewrite_terminals(plan: &RelocPlan) -> (RelocPlan, Vec<RepairEdit>) {
             continue;
         }
         if words == 1 {
-            if let Some((terminal, hops)) = walk(&fwd, tgt) {
+            if let Ok((terminal, hops)) = walk(&fwd, tgt) {
                 if hops > 0 {
                     edits.push(RepairEdit {
                         step: k,
@@ -126,10 +109,10 @@ fn rewrite_terminals(plan: &RelocPlan) -> (RelocPlan, Vec<RepairEdit>) {
         // the re-verify gate report it.
         for i in 0..step.words {
             let t = step.tgt.add_words(i);
-            let Some((terminal, _)) = walk(&fwd, src.add_words(i)) else {
+            let Ok((terminal, _)) = walk(&fwd, src.add_words(i)) else {
                 return (repaired, edits);
             };
-            if walk(&fwd, t).is_none() {
+            if walk(&fwd, t).is_err() {
                 return (repaired, edits);
             }
             fwd.insert(terminal.0, t.0);

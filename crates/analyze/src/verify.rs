@@ -71,36 +71,6 @@ impl Ctx {
         }
     }
 
-    /// Walks the chain from `start`. Returns `Ok((terminal, hops))`, or
-    /// `Err(cycle_members)` when the walk revisits a word.
-    fn walk(&self, start: Addr) -> Result<(Addr, u32), BTreeSet<u64>> {
-        let mut cur = start.word_base().0;
-        let mut seen = HashSet::new();
-        seen.insert(cur);
-        let mut hops = 0u32;
-        while let Some(&next) = self.fwd.get(&cur) {
-            let next = Addr(next).word_base().0;
-            hops += 1;
-            if !seen.insert(next) {
-                // Extract the cyclic suffix for a canonical anchor.
-                let mut members = BTreeSet::new();
-                let mut w = next;
-                loop {
-                    if !members.insert(w) {
-                        break;
-                    }
-                    match self.fwd.get(&w) {
-                        Some(&n) => w = Addr(n).word_base().0,
-                        None => break,
-                    }
-                }
-                return Err(members);
-            }
-            cur = next;
-        }
-        Ok((Addr(cur), hops))
-    }
-
     /// Reports a cycle (deduplicated by its smallest member).
     fn emit_cycle(&mut self, step: Option<usize>, entry: Addr, members: &BTreeSet<u64>) {
         let anchor = members.iter().next().copied().unwrap_or(entry.0);
@@ -115,6 +85,40 @@ impl Ctx {
             ),
         );
     }
+}
+
+/// Walks `start`'s chain in the static forwarding graph `fwd` (word →
+/// forwarding address). Returns `Ok((terminal, hops))`, or
+/// `Err(cycle_members)` when the walk revisits a word.
+///
+/// This is the analyzer's own oracle walk, kept apart from the machine's
+/// hop guard on purpose: the soundness tests compare the two.
+pub(crate) fn walk(fwd: &HashMap<u64, u64>, start: Addr) -> Result<(Addr, u32), BTreeSet<u64>> {
+    let mut cur = start.word_base().0;
+    let mut seen = HashSet::new();
+    seen.insert(cur);
+    let mut hops = 0u32;
+    while let Some(&next) = fwd.get(&cur) {
+        let next = Addr(next).word_base().0;
+        hops += 1;
+        if !seen.insert(next) {
+            // Extract the cyclic suffix for a canonical anchor.
+            let mut members = BTreeSet::new();
+            let mut w = next;
+            loop {
+                if !members.insert(w) {
+                    break;
+                }
+                match fwd.get(&w) {
+                    Some(&n) => w = Addr(n).word_base().0,
+                    None => break,
+                }
+            }
+            return Err(members);
+        }
+        cur = next;
+    }
+    Ok((Addr(cur), hops))
 }
 
 fn ranges_overlap(a: Addr, b: Addr, words: u64) -> bool {
@@ -194,7 +198,7 @@ pub fn verify_plan_with_hops(target: &str, plan: &RelocPlan) -> (Report, HopProf
     // be demand-accessible within the hop budget.
     let mut reported_deep: HashSet<u64> = HashSet::new();
     for &w in &probes {
-        match ctx.walk(Addr(w)) {
+        match walk(&ctx.fwd, Addr(w)) {
             Ok((terminal, hops)) => {
                 ctx.max_hops = ctx.max_hops.max(hops);
                 if let Some(budget) = ctx.budget {
@@ -322,7 +326,7 @@ fn apply_step(
             );
         }
         // Chain-append: find the source word's terminal.
-        let terminal = match ctx.walk(cur) {
+        let terminal = match walk(&ctx.fwd, cur) {
             Ok((terminal, _)) => terminal,
             Err(members) => {
                 // try_relocate's cycle check fires here; the step (and the
@@ -345,7 +349,7 @@ fn apply_step(
             );
         }
         // The data copy is a demand store through the target's chain.
-        match ctx.walk(t) {
+        match walk(&ctx.fwd, t) {
             Ok((_, hops)) => {
                 ctx.max_hops = ctx.max_hops.max(hops);
                 if let Some(budget) = ctx.budget {

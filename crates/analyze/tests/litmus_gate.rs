@@ -12,7 +12,8 @@
 use std::fs;
 use std::path::PathBuf;
 
-use memfwd_analyze::{check_litmus, parse_litmus, render_litmus_human};
+use memfwd::MemoryModel;
+use memfwd_analyze::{certify_litmus, check_litmus, parse_litmus, render_litmus_human};
 
 fn litmus_dir() -> PathBuf {
     PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/litmus"))
@@ -113,4 +114,19 @@ fn sb_is_the_model_discriminator() {
         outcome.iter().all(|(_, v)| *v == 0),
         "the weak outcome is r0=0 r1=0"
     );
+}
+
+#[test]
+fn self_relocation_is_a_typed_cycle_under_both_models() {
+    // Relocating a word onto itself leaves a forwarding self-loop; the
+    // second relocation must end in the typed §3.2 cycle fault, under
+    // either model, instead of chasing the loop forever.
+    let text = "locs d n\n0: reloc d d 1\n0: reloc d n 1\n1: load n -> r0\n";
+    let test = parse_litmus(text, "self_reloc").expect("parses");
+    for model in [MemoryModel::Sc, MemoryModel::Tso] {
+        let err = certify_litmus(&test, model).expect_err("the cycle must fault");
+        assert!(err.contains("forwarding cycle"), "{model}: {err}");
+    }
+    let err = check_litmus(&test).expect_err("enumeration must fault too");
+    assert!(err.contains("forwarding cycle"), "{err}");
 }

@@ -16,7 +16,7 @@
 //! is set) can undo it with `Unforwarded_Write` — exactly the paper-§3.2
 //! repair story, exercised under fire.
 
-use memfwd_tagmem::Addr;
+use memfwd_tagmem::{Addr, TaggedMemory};
 
 /// Probabilities are fixed-point parts-per-million so [`InjectConfig`] can
 /// stay `Copy + Eq + Hash` alongside the rest of [`crate::SimConfig`].
@@ -165,6 +165,39 @@ impl Injector {
             self.injected += 1;
         }
         hit
+    }
+
+    /// One injection opportunity at the head of a demand access to `addr`:
+    /// rolls a chain scramble, then (if that missed) an fbit flip, and on a
+    /// hit corrupts `addr`'s word in `mem` and logs the overwritten value
+    /// for recovery. Returns whether a corruption was injected. A hit on
+    /// the null word consumes its roll but corrupts nothing.
+    pub(crate) fn strike(&mut self, mem: &mut TaggedMemory, addr: Addr) -> bool {
+        let kind = if self.roll_chain_scramble() {
+            InjectKind::ChainScramble
+        } else if self.roll_fbit_flip() {
+            InjectKind::FbitFlip
+        } else {
+            return false;
+        };
+        let word = addr.word_base();
+        if word.is_null() {
+            return false;
+        }
+        let (saved_value, saved_fbit) = mem.unforwarded_read(word);
+        match kind {
+            // A forwarding self-loop: guaranteed to be caught by the
+            // accurate cycle check — a typed, never-silent corruption.
+            InjectKind::ChainScramble => mem.unforwarded_write(word, word.0, true),
+            InjectKind::FbitFlip => mem.set_fbit(word, true),
+        }
+        self.record(Corruption {
+            word,
+            saved_value,
+            saved_fbit,
+            kind,
+        });
+        true
     }
 
     /// Records a corruption so recovery can undo it later.

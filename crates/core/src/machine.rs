@@ -3,15 +3,14 @@
 
 use crate::config::SimConfig;
 use crate::fault::{record_last_fault, MachineFault};
-use crate::inject::{Corruption, InjectKind, Injector};
+use crate::inject::Injector;
 use crate::paging::PageCache;
 use crate::stats::{FwdStats, RunStats, HOPS_BUCKETS};
 use crate::trace::{Trace, TraceKind, TraceRecord};
 use crate::trap::{FaultHandler, TrapInfo, TrapOutcome, MAX_FAULT_RETRIES};
 use memfwd_cache::{AccessKind, Hierarchy};
 use memfwd_cpu::{OpClass, Pipeline, SpecQueue, Token};
-use memfwd_tagmem::{validate_access, Addr, Heap, Pool, TaggedMemory, WORD_BYTES};
-use std::collections::HashSet;
+use memfwd_tagmem::{validate_access, Addr, Heap, HopGuard, Pool, TaggedMemory, WORD_BYTES};
 
 /// The execution-driven simulator.
 ///
@@ -143,10 +142,8 @@ impl Machine {
     /// dispatched slot honestly).
     fn try_walk_chain(&mut self, addr: Addr, mut t: u64) -> Result<Walk, (MachineFault, u64)> {
         let mut cur = addr;
-        let mut hops = 0u32;
         let mut l1_miss = false;
-        let mut counter = 0u32;
-        let mut checking = false;
+        let mut guard = HopGuard::new(self.cfg.hop_limit, &mut self.walk_scratch);
         let final_word;
         loop {
             // One combined page lookup yields the word and its forwarding
@@ -166,8 +163,8 @@ impl Machine {
             l1_miss |= acc.l1_miss();
             t = acc.complete_at + self.cfg.fwd_hop_penalty;
             let next = Addr(fwd) + cur.word_offset();
-            hops += 1;
             if let Some(budget) = self.cfg.hard_hop_budget {
+                let hops = guard.hops() + 1;
                 if hops > budget {
                     let fault = MachineFault::HopLimitExceeded {
                         at: cur.word_base(),
@@ -176,32 +173,18 @@ impl Machine {
                     return Err((fault, t));
                 }
             }
-            counter += 1;
-            if checking {
-                if self.walk_scratch.contains(&next.word_base()) {
-                    let fault = MachineFault::ForwardingCycle {
-                        at: next.word_base(),
-                        hops,
-                    };
-                    return Err((fault, t));
-                }
-                self.walk_scratch.push(next.word_base());
-            } else if counter > self.cfg.hop_limit {
-                // Hop-limit exception: accurate software cycle check,
-                // tracked in the machine's reusable scratch buffer.
-                t += self.cfg.cycle_check_penalty;
-                self.walk_scratch.clear();
-                self.walk_scratch.push(cur.word_base());
-                self.walk_scratch.push(next.word_base());
-                checking = true;
-                counter = 0;
+            match guard.step(cur.word_base(), next.word_base()) {
+                // Hop-limit exception: the accurate software cycle check.
+                Ok(true) => t += self.cfg.cycle_check_penalty,
+                Ok(false) => {}
+                Err(c) => return Err((c.into(), t)),
             }
             cur = next;
         }
         Ok(Walk {
             final_addr: cur,
             t,
-            hops,
+            hops: guard.hops(),
             l1_miss,
             final_word,
         })
@@ -501,38 +484,11 @@ impl Machine {
         let Some(inj) = self.injector.as_mut() else {
             return;
         };
-        let scramble = inj.roll_chain_scramble();
-        let flip = !scramble && inj.roll_fbit_flip();
-        let recover = inj.config().recover;
-        if !(scramble || flip) {
+        if !inj.strike(&mut self.mem, addr) {
             return;
-        }
-        let word = addr.word_base();
-        if word.is_null() {
-            return;
-        }
-        let (saved_value, saved_fbit) = self.mem.unforwarded_read(word);
-        let kind = if scramble {
-            InjectKind::ChainScramble
-        } else {
-            InjectKind::FbitFlip
-        };
-        match kind {
-            // A forwarding self-loop: guaranteed to be caught by the
-            // accurate cycle check — a typed, never-silent corruption.
-            InjectKind::ChainScramble => self.mem.unforwarded_write(word, word.0, true),
-            InjectKind::FbitFlip => self.mem.set_fbit(word, true),
         }
         self.stats.injected_faults += 1;
-        if let Some(inj) = self.injector.as_mut() {
-            inj.record(Corruption {
-                word,
-                saved_value,
-                saved_fbit,
-                kind,
-            });
-        }
-        if recover {
+        if inj.config().recover {
             self.repair_injected();
         }
     }
@@ -928,19 +884,16 @@ impl Machine {
         // element, and collect chain targets that are themselves blocks.
         let mut blocks = vec![addr];
         let mut cur = addr.word_base();
-        let mut seen = HashSet::new();
-        seen.insert(cur);
-        let mut hops = 0u32;
+        let mut scratch = Vec::new();
+        let mut guard = HopGuard::new(self.cfg.hop_limit, &mut scratch);
         loop {
             let (val, fbit, _) = self.unforwarded_read_dep(cur, Token::ready());
             if !fbit {
                 break;
             }
-            cur = Addr(val).word_base();
-            hops += 1;
-            if !seen.insert(cur) {
-                return Err(MachineFault::ForwardingCycle { at: cur, hops });
-            }
+            let next = Addr(val).word_base();
+            guard.step(cur, next)?;
+            cur = next;
             if self.heap.is_live(cur) {
                 self.stats.chain_frees += 1;
                 blocks.push(cur);

@@ -7,45 +7,59 @@
 //! generated sequence, with its instruction cost charged to the machine —
 //! the software overhead the paper includes in its results.
 
+use crate::fault::{record_last_fault, MachineFault};
 use crate::machine::Machine;
 use memfwd_cpu::Token;
-use memfwd_tagmem::Addr;
+use memfwd_tagmem::{resolve_unbounded, Addr, CycleError, HopGuard};
 
 /// Computes the final address of `a` in software, via `Read_FBit` and
-/// `Unforwarded_Read` instructions (all costed).
+/// `Unforwarded_Read` instructions (all costed). The walk counts its hops
+/// through the §3.2 [`HopGuard`] at [`SimConfig::hop_limit`] without
+/// charging for it, so a cyclic chain ends in the same
+/// [`MachineFault::ForwardingCycle`] a demand access through it reports.
+///
+/// [`SimConfig::hop_limit`]: crate::SimConfig::hop_limit
 ///
 /// # Panics
 ///
-/// Panics if the forwarding chain is cyclic.
+/// Panics if the forwarding chain is cyclic, after recording the fault
+/// for [`crate::take_last_fault`].
 pub fn final_address(m: &mut Machine, a: Addr) -> Addr {
     if a.is_null() {
         return a;
     }
-    if m.config().perfect_forwarding {
+    let walked = if m.config().perfect_forwarding {
         // Under the Perf bound every pointer already holds its target's
         // final address, so the comparison needs no chain walk.
         m.compute(1);
-        return memfwd_tagmem::resolve_unbounded(m.mem(), a)
-            .expect("forwarding cycle during pointer comparison")
-            .final_addr;
-    }
+        resolve_unbounded(m.mem(), a).map(|r| r.final_addr)
+    } else {
+        walk_costed(m, a)
+    };
+    walked.unwrap_or_else(|c| {
+        let fault = MachineFault::from(c);
+        record_last_fault(fault);
+        panic!("forwarding cycle during pointer comparison: {fault}")
+    })
+}
+
+/// The costed `Read_FBit` / `Unforwarded_Read` walk of [`final_address`].
+fn walk_costed(m: &mut Machine, a: Addr) -> Result<Addr, CycleError> {
     let mut cur = a;
     let mut tok = Token::ready();
-    let mut guard = 0u32;
+    let mut scratch = Vec::new();
+    let mut guard = HopGuard::new(m.config().hop_limit, &mut scratch);
     loop {
         let (fbit, t1) = m.read_fbit_dep(cur, tok);
         m.compute(1); // branch
         if !fbit {
-            return cur;
+            return Ok(cur);
         }
         let (val, _, t2) = m.unforwarded_read_dep(cur, t1);
-        cur = Addr(val) + cur.word_offset();
+        let next = Addr(val) + cur.word_offset();
+        guard.step(cur.word_base(), next.word_base())?;
+        cur = next;
         tok = t2;
-        guard += 1;
-        assert!(
-            guard < 1 << 16,
-            "forwarding cycle during pointer comparison"
-        );
     }
 }
 

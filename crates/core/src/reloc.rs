@@ -9,8 +9,7 @@
 use crate::fault::{record_last_fault, MachineFault};
 use crate::machine::Machine;
 use memfwd_cpu::Token;
-use memfwd_tagmem::Addr;
-use std::collections::HashSet;
+use memfwd_tagmem::{Addr, HopGuard};
 
 /// Fallible [`relocate`]: moves `n_words` words from `src` to `tgt`,
 /// reporting corruption as a typed fault instead of panicking.
@@ -40,48 +39,30 @@ pub fn try_relocate(
         return Err(MachineFault::Misaligned { addr: tgt, size: 8 });
     }
     m.compute(2); // loop setup
+    let mut scratch = Vec::new();
     for i in 0..n_words {
         let mut cur = src.add_words(i);
         let t = tgt.add_words(i);
-        // First probe outside the chain loop: the overwhelmingly common
-        // source word is unforwarded (fresh allocations, first relocation),
-        // and that case must not pay for cycle tracking — the old
-        // HashSet-per-word bookkeeping was a top host cost of
-        // linearization-heavy runs.
-        let (val, fbit, tok) = m.unforwarded_read_dep(cur, Token::ready());
-        m.compute(1); // branch on the forwarding bit
-        if !fbit {
-            // Copy the word to its new home, then atomically install the
-            // forwarding address and bit in the old home.
-            m.store_dep(t, 8, val, tok);
-            m.unforwarded_write(cur, t.0, true);
-            continue;
-        }
-        // Forwarded source: append at the end of the existing chain, with
-        // full cycle tracking (state-identical to running the tracked loop
-        // from the start — the first insert can never report a cycle).
-        let mut seen = HashSet::new();
-        seen.insert(cur.word_base());
-        let mut dep = tok;
-        let mut val = val;
-        let mut hops = 0u32;
+        let mut guard = HopGuard::new(m.config().hop_limit, &mut scratch);
+        let mut dep = Token::ready();
+        // Append at the end of any existing chain. The overwhelmingly
+        // common source word is unforwarded (fresh allocations, first
+        // relocation) and leaves after one probe; the hop guard only
+        // starts remembering words past the hop limit, so chains within it
+        // cost no cycle tracking at all.
         loop {
-            cur = Addr(val);
-            hops += 1;
-            if !seen.insert(cur.word_base()) {
-                return Err(MachineFault::ForwardingCycle {
-                    at: cur.word_base(),
-                    hops,
-                });
-            }
-            let (v, fbit, tok) = m.unforwarded_read_dep(cur, dep);
-            m.compute(1);
+            let (val, fbit, tok) = m.unforwarded_read_dep(cur, dep);
+            m.compute(1); // branch on the forwarding bit
             if !fbit {
-                m.store_dep(t, 8, v, tok);
+                // Copy the word to its new home, then atomically install
+                // the forwarding address and bit in the old home.
+                m.store_dep(t, 8, val, tok);
                 m.unforwarded_write(cur, t.0, true);
                 break;
             }
-            val = v;
+            let next = Addr(val);
+            guard.step(cur.word_base(), next.word_base())?;
+            cur = next;
             dep = tok;
         }
     }

@@ -40,9 +40,9 @@
 
 use crate::config::{MemoryModel, SimConfig};
 use crate::fault::{record_last_fault, MachineFault};
-use crate::inject::{Corruption, InjectKind, Injector};
+use crate::inject::Injector;
 use memfwd_cache::CacheLevel;
-use memfwd_tagmem::{validate_access, Addr, Heap, Pool, TaggedMemory, DEFAULT_HOP_LIMIT};
+use memfwd_tagmem::{validate_access, Addr, Heap, HopGuard, Pool, TaggedMemory, DEFAULT_HOP_LIMIT};
 use std::collections::{HashMap, VecDeque};
 
 /// Configuration of the SMP model.
@@ -387,51 +387,21 @@ impl SmpMachine {
         let Some(inj) = self.injector.as_mut() else {
             return;
         };
-        let scramble = inj.roll_chain_scramble();
-        let flip = !scramble && inj.roll_fbit_flip();
-        let recover = inj.config().recover;
-        if !(scramble || flip) {
+        if !inj.strike(&mut self.mem, addr) {
             return;
-        }
-        let word = addr.word_base();
-        if word.is_null() {
-            return;
-        }
-        let (saved_value, saved_fbit) = self.mem.unforwarded_read(word);
-        let kind = if scramble {
-            InjectKind::ChainScramble
-        } else {
-            InjectKind::FbitFlip
-        };
-        match kind {
-            InjectKind::ChainScramble => self.mem.unforwarded_write(word, word.0, true),
-            InjectKind::FbitFlip => self.mem.set_fbit(word, true),
         }
         self.injected_faults += 1;
-        if let Some(inj) = self.injector.as_mut() {
-            inj.record(Corruption {
-                word,
-                saved_value,
-                saved_fbit,
-                kind,
-            });
+        if !inj.config().recover {
+            return;
         }
-        if recover {
-            let pending = self
-                .injector
-                .as_mut()
-                .map(Injector::drain_log)
-                .unwrap_or_default();
-            if !pending.is_empty() {
-                // Exception dispatch plus one coherent repair write each.
-                self.cores[core].now += self.cfg.miss_latency;
-                for c in pending.iter().rev() {
-                    self.mem
-                        .unforwarded_write(c.word, c.saved_value, c.saved_fbit);
-                    self.cores[core].now += self.cfg.hit_latency;
-                    self.fault_repairs += 1;
-                }
-            }
+        let pending = inj.drain_log();
+        // Exception dispatch plus one coherent repair write each.
+        self.cores[core].now += self.cfg.miss_latency;
+        for c in pending.iter().rev() {
+            self.mem
+                .unforwarded_write(c.word, c.saved_value, c.saved_fbit);
+            self.cores[core].now += self.cfg.hit_latency;
+            self.fault_repairs += 1;
         }
     }
 
@@ -529,7 +499,7 @@ impl SmpMachine {
                 // Resolved against coherent memory: every older entry has
                 // already drained, and younger entries have not yet
                 // happened globally.
-                let final_addr = self.try_walk(core, addr)?;
+                let final_addr = self.try_walk(core, addr, false)?;
                 self.validate_final(final_addr, size, true)?;
                 let lat = self.access(core, final_addr, size, true);
                 self.cores[core].now += lat;
@@ -785,22 +755,17 @@ impl SmpMachine {
         }
         validate_access(addr, size)?;
         self.maybe_inject(core, addr);
-        if self.is_tso() {
-            return self.tso_load(core, addr, size);
-        }
-        let final_addr = self.try_walk(core, addr)?;
-        self.validate_final(final_addr, size, false)?;
-        let lat = self.access(core, final_addr, size, false);
-        self.cores[core].now += lat;
-        Ok(self.mem.read_data(final_addr, size))
+        self.load_path(core, addr, size)
     }
 
-    /// The TSO load path: a buffer-aware chain walk, then store-to-load
-    /// forwarding from the core's own buffer (youngest exact match wins;
-    /// a partial overlap drains the buffer and reads coherent memory —
-    /// the conservative hardware answer to a forwarding-width mismatch).
-    fn tso_load(&mut self, core: usize, addr: Addr, size: u64) -> Result<u64, MachineFault> {
-        let final_addr = self.try_walk_tso(core, addr)?;
+    /// The load path of both models: a buffer-aware chain walk, then
+    /// store-to-load forwarding from the core's own buffer (youngest exact
+    /// match wins; a partial overlap drains the buffer and reads coherent
+    /// memory — the conservative hardware answer to a forwarding-width
+    /// mismatch). Under SC the buffer is always empty, so this is a plain
+    /// coherent walk and read.
+    fn load_path(&mut self, core: usize, addr: Addr, size: u64) -> Result<u64, MachineFault> {
+        let final_addr = self.try_walk(core, addr, true)?;
         self.validate_final(final_addr, size, false)?;
         let (lo, hi) = (final_addr.0, final_addr.0 + size);
         for w in self.cores[core].sb.iter().rev() {
@@ -893,7 +858,7 @@ impl SmpMachine {
                 .push_back(SbWrite::Store { addr, size, value });
             return self.sb_trim(core);
         }
-        let final_addr = self.try_walk(core, addr)?;
+        let final_addr = self.try_walk(core, addr, false)?;
         self.validate_final(final_addr, size, true)?;
         let lat = self.access(core, final_addr, size, true);
         self.cores[core].now += lat;
@@ -944,7 +909,7 @@ impl SmpMachine {
         // acquirer that observes the release observes everything before
         // it. The release store bypasses the buffer (write-through).
         self.try_drain(core)?;
-        let final_addr = self.try_walk(core, addr)?;
+        let final_addr = self.try_walk(core, addr, false)?;
         self.validate_final(final_addr, size, true)?;
         let lat = self.access(core, final_addr, size, true);
         self.cores[core].now += lat;
@@ -996,14 +961,7 @@ impl SmpMachine {
             core,
             word: addr.word_base(),
         });
-        if self.is_tso() {
-            return self.tso_load(core, addr, size);
-        }
-        let final_addr = self.try_walk(core, addr)?;
-        self.validate_final(final_addr, size, false)?;
-        let lat = self.access(core, final_addr, size, false);
-        self.cores[core].now += lat;
-        Ok(self.mem.read_data(final_addr, size))
+        self.load_path(core, addr, size)
     }
 
     /// An acquire load: synchronizes-with the latest
@@ -1139,172 +1097,161 @@ impl SmpMachine {
         Ok(())
     }
 
-    /// Resolves `addr` through the forwarding chain with coherent, timed
-    /// reads of each chain word. Runs the hop counter with the accurate
-    /// software cycle check of §3.2 (same switchover as the uniprocessor
-    /// machine) instead of a blunt iteration guard.
-    fn try_walk(&mut self, core: usize, addr: Addr) -> Result<Addr, MachineFault> {
+    /// `word` as `core` reads it while following a chain: its own
+    /// youngest buffered write of the word when `own_buffer` is set
+    /// (x86-style own-store visibility), else coherent memory. Returns the
+    /// value, the forwarding bit and whether the buffer supplied them.
+    fn chain_word(&self, core: usize, word: Addr, own_buffer: bool) -> (u64, bool, bool) {
+        let buffered = if own_buffer {
+            sb_peek(&self.cores[core].sb, word)
+        } else {
+            None
+        };
+        match buffered {
+            Some((value, fbit)) => (value, fbit, true),
+            None => {
+                let (value, fbit) = self.mem.read_word_tagged(word);
+                (value, fbit, false)
+            }
+        }
+    }
+
+    /// The latency of `core`'s read of chain word `word`: a coherent
+    /// access, or a hit at [`SmpConfig::hit_latency`] that leaves the
+    /// coherence state alone when the store buffer supplied the word.
+    fn chain_read_latency(&mut self, core: usize, word: Addr, from_buffer: bool) -> u64 {
+        if !from_buffer {
+            return self.access(core, word, 8, false);
+        }
+        self.note_event(SmpEvent::Access {
+            core,
+            word,
+            is_store: false,
+        });
+        let st = &mut self.cores[core].stats;
+        st.loads += 1;
+        st.hits += 1;
+        st.sb_forwards += 1;
+        self.cfg.hit_latency
+    }
+
+    /// Resolves `addr` through the forwarding chain with timed reads of
+    /// each chain word, counting hops through the §3.2 [`HopGuard`] (same
+    /// switchover as the uniprocessor machine). With `own_buffer` each
+    /// chain word is read through the core's own store buffer first, so a
+    /// core that buffered a forwarding-bit install already follows its own
+    /// redirect while remote cores keep reading the un-installed word
+    /// until the drain. Drains pass `false`: they resolve against coherent
+    /// memory, since every older entry has drained and younger ones have
+    /// not yet happened globally.
+    fn try_walk(
+        &mut self,
+        core: usize,
+        addr: Addr,
+        own_buffer: bool,
+    ) -> Result<Addr, MachineFault> {
         let mut cur = addr;
-        let mut hops = 0u32;
-        let mut counter = 0u32;
-        let mut checking = false;
         // Lazily populated: `Vec::new` does not allocate, and nothing is
         // pushed until a hop-limit exception engages the accurate check.
-        let mut scratch: Vec<Addr> = Vec::new();
+        let mut scratch = Vec::new();
+        let mut guard = HopGuard::new(DEFAULT_HOP_LIMIT, &mut scratch);
         loop {
-            // Word and forwarding bit in one page lookup.
-            let (fwd, fbit) = self.mem.read_word_tagged(cur);
+            let word = cur.word_base();
+            let (fwd, fbit, from_buffer) = self.chain_word(core, word, own_buffer);
             if !fbit {
                 break;
             }
-            // The forwarding word itself is read coherently.
-            let lat = self.access(core, cur.word_base(), 8, false);
+            let lat = self.chain_read_latency(core, word, from_buffer);
             self.cores[core].now += lat + self.cfg.fwd_hop_penalty;
             let next = Addr(fwd) + cur.word_offset();
-            hops += 1;
-            counter += 1;
-            if checking {
-                if scratch.contains(&next.word_base()) {
-                    return Err(MachineFault::ForwardingCycle {
-                        at: next.word_base(),
-                        hops,
-                    });
-                }
-                scratch.push(next.word_base());
-            } else if counter > DEFAULT_HOP_LIMIT {
-                scratch.push(cur.word_base());
-                scratch.push(next.word_base());
-                checking = true;
-                counter = 0;
-            }
+            guard.step(word, next.word_base())?;
             cur = next;
         }
-        if hops > 0 {
+        if guard.hops() > 0 {
             self.cores[core].stats.forwarded += 1;
         }
         Ok(cur)
     }
 
-    /// The TSO chain walk: as [`SmpMachine::try_walk`], but each chain
-    /// word is read through the core's own store buffer first, so a core
-    /// that buffered a forwarding-bit install already follows its own
-    /// redirect (x86-style own-store visibility) while remote cores keep
-    /// reading the un-installed word until the drain. Buffered chain
-    /// reads hit at [`SmpConfig::hit_latency`] without touching the
-    /// coherence state.
-    fn try_walk_tso(&mut self, core: usize, addr: Addr) -> Result<Addr, MachineFault> {
-        let mut cur = addr;
-        let mut hops = 0u32;
-        let mut counter = 0u32;
-        let mut checking = false;
-        let mut scratch: Vec<Addr> = Vec::new();
-        loop {
-            let buffered = sb_peek(&self.cores[core].sb, cur.word_base());
-            let from_buffer = buffered.is_some();
-            let (fwd, fbit) = buffered.unwrap_or_else(|| self.mem.read_word_tagged(cur));
-            if !fbit {
-                break;
-            }
-            if from_buffer {
-                self.note_event(SmpEvent::Access {
-                    core,
-                    word: cur.word_base(),
-                    is_store: false,
-                });
-                self.cores[core].now += self.cfg.hit_latency + self.cfg.fwd_hop_penalty;
-                let st = &mut self.cores[core].stats;
-                st.loads += 1;
-                st.hits += 1;
-                st.sb_forwards += 1;
-            } else {
-                let lat = self.access(core, cur.word_base(), 8, false);
-                self.cores[core].now += lat + self.cfg.fwd_hop_penalty;
-            }
-            let next = Addr(fwd) + cur.word_offset();
-            hops += 1;
-            counter += 1;
-            if checking {
-                if scratch.contains(&next.word_base()) {
-                    return Err(MachineFault::ForwardingCycle {
-                        at: next.word_base(),
-                        hops,
-                    });
-                }
-                scratch.push(next.word_base());
-            } else if counter > DEFAULT_HOP_LIMIT {
-                scratch.push(cur.word_base());
-                scratch.push(next.word_base());
-                checking = true;
-                counter = 0;
-            }
-            cur = next;
-        }
-        if hops > 0 {
-            self.cores[core].stats.forwarded += 1;
-        }
-        Ok(cur)
-    }
-
-    /// The TSO relocation path: source-chain reads go through the store
-    /// buffer (own pending installs are chased), and both the data copy
-    /// and the forwarding-bit install are *buffered*, FIFO-ordered copy
-    /// before install. Until the install drains, remote cores still see
-    /// the old home — the publication window the certifier's
-    /// MF010/MF011/MF012 diagnostics reason about.
-    fn try_relocate_tso(
+    /// Fallible [`SmpMachine::relocate`].
+    ///
+    /// # Errors
+    ///
+    /// [`MachineFault::Misaligned`] if `src` or `tgt` is not word-aligned
+    /// (nothing has moved), [`MachineFault::ForwardingCycle`] if a source
+    /// word's chain is cyclic (earlier words have already moved, each
+    /// individually consistent), and under TSO any fault of a
+    /// capacity-forced drain.
+    pub fn try_relocate(
         &mut self,
         core: usize,
         src: Addr,
         tgt: Addr,
         n_words: u64,
     ) -> Result<(), MachineFault> {
+        for addr in [src, tgt] {
+            if !addr.is_aligned(8) {
+                return Err(MachineFault::Misaligned { addr, size: 8 });
+            }
+        }
+        let mut scratch = Vec::new();
         for i in 0..n_words {
+            let t = tgt.add_words(i);
             let mut cur = src.add_words(i);
-            loop {
-                let buffered = sb_peek(&self.cores[core].sb, cur.word_base());
-                let from_buffer = buffered.is_some();
-                let (val, fbit) = buffered.unwrap_or_else(|| self.mem.unforwarded_read(cur));
-                if from_buffer {
-                    self.note_event(SmpEvent::Access {
-                        core,
-                        word: cur.word_base(),
-                        is_store: false,
-                    });
-                    self.cores[core].now += self.cfg.hit_latency;
-                    let st = &mut self.cores[core].stats;
-                    st.loads += 1;
-                    st.hits += 1;
-                    st.sb_forwards += 1;
-                } else {
-                    let lat = self.access(core, cur.word_base(), 8, false);
-                    self.cores[core].now += lat;
-                }
+            let mut guard = HopGuard::new(DEFAULT_HOP_LIMIT, &mut scratch);
+            // Source-chain reads go through the core's own buffer, so own
+            // pending installs are chased (a no-op under SC).
+            let val = loop {
+                let word = cur.word_base();
+                let (val, fbit, from_buffer) = self.chain_word(core, word, true);
+                let lat = self.chain_read_latency(core, word, from_buffer);
+                self.cores[core].now += lat;
                 if !fbit {
-                    let t = tgt.add_words(i);
-                    self.note_event(SmpEvent::StoreBuffered {
-                        core,
-                        word: t.word_base(),
-                    });
-                    self.cores[core].now += self.cfg.hit_latency;
-                    self.cores[core].sb.push_back(SbWrite::Copy {
-                        addr: t,
-                        value: val,
-                    });
-                    self.sb_trim(core)?;
-                    self.note_event(SmpEvent::FbitInstall {
-                        core,
-                        word: cur.word_base(),
-                        to: t,
-                    });
-                    self.cores[core].now += self.cfg.hit_latency;
-                    self.cores[core].sb.push_back(SbWrite::Install {
-                        word: cur,
-                        fwd_to: t,
-                    });
-                    self.sb_trim(core)?;
-                    break;
+                    break val;
                 }
-                cur = Addr(val);
+                let next = Addr(val);
+                guard.step(word, next.word_base())?;
+                cur = next;
+            };
+            if self.is_tso() {
+                // Copy before install, both buffered: until the install
+                // drains, remote cores still see the old home — the
+                // publication window the certifier's MF010/MF011/MF012
+                // diagnostics reason about.
+                self.note_event(SmpEvent::StoreBuffered {
+                    core,
+                    word: t.word_base(),
+                });
+                self.cores[core].now += self.cfg.hit_latency;
+                self.cores[core].sb.push_back(SbWrite::Copy {
+                    addr: t,
+                    value: val,
+                });
+                self.sb_trim(core)?;
+                self.note_event(SmpEvent::FbitInstall {
+                    core,
+                    word: cur.word_base(),
+                    to: t,
+                });
+                self.cores[core].now += self.cfg.hit_latency;
+                self.cores[core].sb.push_back(SbWrite::Install {
+                    word: cur,
+                    fwd_to: t,
+                });
+                self.sb_trim(core)?;
+            } else {
+                let lat = self.access(core, t, 8, true);
+                self.cores[core].now += lat;
+                self.mem.write_data(t, 8, val);
+                self.mem.unforwarded_write(cur, t.0, true);
+                // The forwarding-address install rewrites the (shared)
+                // chain-terminal word; the race detector must see it as a
+                // store even though it bypasses the timed access path.
+                self.note_event(SmpEvent::Access {
+                    core,
+                    word: cur.word_base(),
+                    is_store: true,
+                });
             }
         }
         Ok(())
@@ -1320,39 +1267,13 @@ impl SmpMachine {
     ///
     /// # Panics
     ///
-    /// Under TSO, panics if a capacity-forced drain faults.
+    /// Panics on misalignment, a forwarding cycle, or (under TSO) a
+    /// faulting capacity-forced drain. [`SmpMachine::try_relocate`] is the
+    /// non-panicking twin.
     pub fn relocate(&mut self, core: usize, src: Addr, tgt: Addr, n_words: u64) {
-        assert!(src.is_aligned(8) && tgt.is_aligned(8));
-        if self.is_tso() {
-            if let Err(fault) = self.try_relocate_tso(core, src, tgt, n_words) {
-                record_last_fault(fault);
-                panic!("{fault}");
-            }
-            return;
-        }
-        for i in 0..n_words {
-            let mut cur = src.add_words(i);
-            loop {
-                let (val, fbit) = self.mem.unforwarded_read(cur);
-                let lat = self.access(core, cur.word_base(), 8, false);
-                self.cores[core].now += lat;
-                if !fbit {
-                    let lat = self.access(core, tgt.add_words(i), 8, true);
-                    self.cores[core].now += lat;
-                    self.mem.write_data(tgt.add_words(i), 8, val);
-                    self.mem.unforwarded_write(cur, tgt.add_words(i).0, true);
-                    // The forwarding-address install rewrites the (shared)
-                    // chain-terminal word; the race detector must see it as
-                    // a store even though it bypasses the timed access path.
-                    self.note_event(SmpEvent::Access {
-                        core,
-                        word: cur.word_base(),
-                        is_store: true,
-                    });
-                    break;
-                }
-                cur = Addr(val);
-            }
+        if let Err(fault) = self.try_relocate(core, src, tgt, n_words) {
+            record_last_fault(fault);
+            panic!("{fault}");
         }
     }
 }
@@ -1825,5 +1746,52 @@ mod tests {
         // Fences and drains are no-ops apart from the fence counter.
         m.fence(0);
         assert_eq!(m.total_stats().fences, 1);
+    }
+
+    /// Both models' machines with a self-looped source word `a` and a
+    /// relocation target `b`.
+    fn self_looped() -> Vec<(SmpMachine, Addr, Addr)> {
+        [smp(2), tso(2)]
+            .into_iter()
+            .map(|mut m| {
+                let a = m.malloc(8);
+                let b = m.malloc(8);
+                m.mem.unforwarded_write(a, a.0, true);
+                (m, a, b)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn try_relocate_of_a_self_looped_source_is_a_typed_cycle() {
+        for (mut m, a, b) in self_looped() {
+            assert_eq!(
+                m.try_relocate(0, a, b, 1),
+                Err(MachineFault::ForwardingCycle {
+                    at: a,
+                    hops: DEFAULT_HOP_LIMIT + 2,
+                }),
+                "{:?}",
+                m.memory_model()
+            );
+        }
+    }
+
+    #[test]
+    fn relocate_of_a_self_looped_source_panics_with_the_fault_recorded() {
+        for (mut m, a, b) in self_looped() {
+            let _ = crate::fault::take_last_fault();
+            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                m.relocate(0, a, b, 1);
+            }));
+            assert!(r.is_err(), "relocate must panic, not return or hang");
+            assert_eq!(
+                crate::fault::take_last_fault(),
+                Some(MachineFault::ForwardingCycle {
+                    at: a,
+                    hops: DEFAULT_HOP_LIMIT + 2,
+                })
+            );
+        }
     }
 }

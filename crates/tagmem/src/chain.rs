@@ -3,16 +3,20 @@
 //! When a memory word is accessed, its forwarding bit is tested; if set, the
 //! word's contents replace the access address (plus the byte offset within
 //! the word) and the access is relaunched. This repeats until a clear
-//! forwarding bit is found (paper §3.2). The functions here perform that
-//! walk, including the hop-limit counter and the accurate software cycle
-//! check the paper describes for breaking forwarding cycles.
+//! forwarding bit is found (paper §3.2).
 //!
-//! The walks are **allocation-free** in the common case: the accurate cycle
-//! check only engages after a hop-limit exception, and when it does it
-//! records visited words in a caller-supplied scratch `Vec` (see
-//! [`resolve_with_scratch`]) instead of building a fresh hash set per
-//! resolution. Chains short enough to pass the accurate check are tiny, so a
-//! linear `contains` scan over the scratch beats hashing.
+//! Every walk in the simulator — these functions, the machines' timed
+//! demand walks, `free`, `relocate` and pointer comparison — counts its
+//! hops through one [`HopGuard`]: the hardware hop counter plus the
+//! accurate software cycle check that its overflow switches on. A chain
+//! therefore ends in the same [`CycleError`] whichever walk follows it,
+//! and no walk can loop forever.
+//!
+//! The guard is **allocation-free** in the common case: the accurate check
+//! only engages after a hop-limit exception, and when it does it records
+//! visited words in a caller-owned scratch `Vec` instead of building a
+//! fresh hash set per walk. Chains short enough to pass the accurate check
+//! are tiny, so a linear `contains` scan over the scratch beats hashing.
 
 use crate::error::CycleError;
 use crate::memory::TaggedMemory;
@@ -22,9 +26,91 @@ use crate::word::Addr;
 /// before the hop counter raises an exception and the accurate software
 /// cycle check engages (paper §3.2). Shared by [`resolve_unbounded`] and the
 /// core simulator's `SimConfig::hop_limit` default. The limit never changes
-/// the *result* of a resolution — only when the cycle check switches on — so
-/// any positive value is functionally equivalent.
+/// whether a resolution succeeds or where it lands — only when the cycle
+/// check switches on — so any positive value is functionally equivalent.
 pub const DEFAULT_HOP_LIMIT: u32 = 8;
+
+/// The §3.2 hop counter and accurate cycle check for one chain walk.
+///
+/// The walker reads each forwarding word itself (with whatever timing it
+/// models) and reports every hop to [`HopGuard::step`]. Until the count
+/// exceeds the hop limit the guard only counts. The hop that overflows it
+/// raises the hop-limit exception: the accurate check engages and, from
+/// then on, remembers every word the walk visits in the caller's scratch
+/// buffer. A genuine cycle must revisit one of them; a long acyclic chain
+/// (a false alarm) simply runs to its terminal.
+///
+/// ```
+/// use memfwd_tagmem::{Addr, HopGuard};
+/// let mut scratch = Vec::new();
+/// let mut guard = HopGuard::new(1, &mut scratch);
+/// assert_eq!(guard.step(Addr(0x10), Addr(0x20)), Ok(false));
+/// assert_eq!(guard.step(Addr(0x20), Addr(0x10)), Ok(true)); // engaged
+/// assert!(guard.step(Addr(0x10), Addr(0x20)).is_err()); // revisit
+/// ```
+#[derive(Debug)]
+pub struct HopGuard<'s> {
+    limit: u32,
+    hops: u32,
+    checking: bool,
+    seen: &'s mut Vec<Addr>,
+}
+
+impl<'s> HopGuard<'s> {
+    /// A guard for one walk with hardware hop limit `hop_limit`. `scratch`
+    /// is only written once the accurate check engages; its contents
+    /// between walks are meaningless.
+    #[inline]
+    pub fn new(hop_limit: u32, scratch: &'s mut Vec<Addr>) -> Self {
+        HopGuard {
+            limit: hop_limit,
+            hops: 0,
+            checking: false,
+            seen: scratch,
+        }
+    }
+
+    /// Hops counted so far.
+    #[inline]
+    pub fn hops(&self) -> u32 {
+        self.hops
+    }
+
+    /// Counts the hop from forwarding word `cur` to word `next` (both word
+    /// bases). Returns `Ok(true)` when this hop overflowed the hop counter
+    /// and the accurate check has just engaged — the point at which a timed
+    /// walker charges the exception.
+    ///
+    /// Once engaged the check stays on for the rest of the walk, so the
+    /// hop count doubles as the overflow counter.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CycleError`] when `next` is a word the accurate check has
+    /// already seen on this walk.
+    #[inline]
+    pub fn step(&mut self, cur: Addr, next: Addr) -> Result<bool, CycleError> {
+        self.hops += 1;
+        if self.checking {
+            if self.seen.contains(&next) {
+                return Err(CycleError {
+                    at: next,
+                    hops: self.hops,
+                });
+            }
+            self.seen.push(next);
+            Ok(false)
+        } else if self.hops > self.limit {
+            self.seen.clear();
+            self.seen.push(cur);
+            self.seen.push(next);
+            self.checking = true;
+            Ok(true)
+        } else {
+            Ok(false)
+        }
+    }
+}
 
 /// Outcome of resolving an initial address to its final address.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,8 +132,9 @@ impl Resolution {
 ///
 /// `hop_limit` models the hardware hop counter: when the number of hops
 /// exceeds the limit, an exception is raised and an accurate cycle check is
-/// performed in software. A false alarm (a genuinely long chain) resets the
-/// counter and resumes; a real cycle aborts with [`CycleError`].
+/// performed in software (see [`HopGuard`]). A false alarm (a genuinely
+/// long chain) runs on to its terminal; a real cycle aborts with
+/// [`CycleError`].
 ///
 /// # Errors
 ///
@@ -73,9 +160,9 @@ pub fn resolve(mem: &TaggedMemory, addr: Addr, hop_limit: u32) -> Result<Resolut
 /// [`resolve`] with a caller-held scratch buffer for the cycle check, so hot
 /// loops resolving many addresses perform no heap allocation at all.
 ///
-/// The scratch is cleared on entry; its contents between calls are
-/// meaningless. It is only written after a hop-limit exception engages the
-/// accurate check, so for chains within `hop_limit` it stays untouched.
+/// The scratch's contents between calls are meaningless. It is only
+/// written after a hop-limit exception engages the accurate check (see
+/// [`HopGuard`]), so for chains within `hop_limit` it stays untouched.
 ///
 /// # Errors
 ///
@@ -86,47 +173,27 @@ pub fn resolve_with_scratch(
     hop_limit: u32,
     scratch: &mut Vec<Addr>,
 ) -> Result<Resolution, CycleError> {
-    scratch.clear();
     let offset = addr.word_offset();
     let mut word = addr.word_base();
-    let mut hops = 0u32;
-    let mut counter = 0u32;
-    let mut checking = false;
-
+    let mut guard = HopGuard::new(hop_limit, scratch);
     loop {
         let (fwd, fbit) = mem.read_word_tagged(word);
         if !fbit {
             break;
         }
         let next = Addr(fwd).word_base();
-        hops += 1;
-        counter += 1;
-        if checking {
-            if scratch.contains(&next) {
-                return Err(CycleError { at: next, hops });
-            }
-            scratch.push(next);
-        } else if counter > hop_limit {
-            // Hop-limit exception: switch to the accurate software check for
-            // the remainder of the walk (paper §3.2). Re-walk is not needed:
-            // from here on we remember every word we visit; a cycle must
-            // eventually revisit one of them.
-            scratch.push(word);
-            scratch.push(next);
-            checking = true;
-            counter = 0;
-        }
+        guard.step(word, next)?;
         word = next;
     }
     Ok(Resolution {
         final_addr: word + offset,
-        hops,
+        hops: guard.hops(),
     })
 }
 
 /// Resolves with the [`DEFAULT_HOP_LIMIT`]. Convenience for callers that do
 /// not model the hardware counter. (The limit only controls when the
-/// accurate cycle check engages — it never changes the result.)
+/// accurate cycle check engages — it never changes where a chain lands.)
 ///
 /// # Errors
 ///
@@ -140,13 +207,9 @@ pub fn resolve_unbounded(mem: &TaggedMemory, addr: Addr) -> Result<Resolution, C
 ///
 /// Used by the memory-deallocation wrapper (paper §3.3): when an object is
 /// deallocated, all memory reachable via its forwarding chain must be
-/// deallocated as well.
-///
-/// The cycle check is lazy, like [`resolve`]'s: it only engages once the
-/// walk exceeds [`DEFAULT_HOP_LIMIT`] hops, and then scans `out` itself —
-/// which already records every visited word — instead of maintaining a
-/// separate hash set. Unforwarded words (the overwhelmingly common
-/// deallocation case) cost one combined read and one `Vec` push.
+/// deallocated as well. The walk counts its hops through a [`HopGuard`] at
+/// [`DEFAULT_HOP_LIMIT`], exactly like [`resolve_unbounded`], so a cyclic
+/// chain fails with the same [`CycleError`].
 ///
 /// # Errors
 ///
@@ -154,17 +217,16 @@ pub fn resolve_unbounded(mem: &TaggedMemory, addr: Addr) -> Result<Resolution, C
 pub fn chain_words(mem: &TaggedMemory, addr: Addr) -> Result<Vec<Addr>, CycleError> {
     let mut word = addr.word_base();
     let mut out = vec![word];
-    let mut hops = 0;
+    let mut scratch = Vec::new();
+    let mut guard = HopGuard::new(DEFAULT_HOP_LIMIT, &mut scratch);
     loop {
         let (fwd, fbit) = mem.read_word_tagged(word);
         if !fbit {
             break;
         }
-        word = Addr(fwd).word_base();
-        hops += 1;
-        if hops > DEFAULT_HOP_LIMIT && out.contains(&word) {
-            return Err(CycleError { at: word, hops });
-        }
+        let next = Addr(fwd).word_base();
+        guard.step(word, next)?;
+        word = next;
         out.push(word);
     }
     Ok(out)

@@ -45,7 +45,8 @@ mod word;
 
 pub use alloc::{AllocPolicy, Heap, HeapStats, Pool};
 pub use chain::{
-    chain_words, resolve, resolve_unbounded, resolve_with_scratch, Resolution, DEFAULT_HOP_LIMIT,
+    chain_words, resolve, resolve_unbounded, resolve_with_scratch, HopGuard, Resolution,
+    DEFAULT_HOP_LIMIT,
 };
 pub use error::{CycleError, TagMemError};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};

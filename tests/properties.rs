@@ -3,9 +3,12 @@
 //! linearization, and statistics conservation.
 
 use memfwd_repro::core::{
-    list_linearize, relocate, restore_machine, save_machine, ListDesc, Machine, SimConfig,
+    final_address, list_linearize, relocate, restore_machine, save_machine, take_last_fault,
+    try_relocate, ListDesc, Machine, MachineFault, MemoryModel, SimConfig, SmpConfig, SmpMachine,
 };
-use memfwd_repro::tagmem::{resolve_unbounded, Addr, Heap, TaggedMemory};
+use memfwd_repro::tagmem::{
+    resolve, resolve_unbounded, Addr, CycleError, Heap, Resolution, TaggedMemory, DEFAULT_HOP_LIMIT,
+};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -25,6 +28,67 @@ enum Op {
     Load { obj: u8, gen: u8, off: u8, size: u8 },
     /// Relocate `obj` to a fresh home through a historical address.
     Relocate { obj: u8, gen: u8 },
+}
+
+/// What `walker` must report for a chain that `resolve` answered with
+/// `want`: success on an acyclic chain, else exactly `resolve`'s cycle.
+fn agrees<T: std::fmt::Debug>(
+    walker: &str,
+    want: Result<Resolution, CycleError>,
+    got: Result<T, MachineFault>,
+) -> Result<(), TestCaseError> {
+    match (want, &got) {
+        (Ok(_), Ok(_)) => Ok(()),
+        (Err(c), Err(f)) if *f == MachineFault::from(c) => Ok(()),
+        _ => Err(TestCaseError::fail(format!(
+            "{walker}: resolve gave {want:?}, the walker {got:?}"
+        ))),
+    }
+}
+
+/// Heap words `0..len` forwarding each to the next, plus an optional back
+/// edge from the last word to word `back`, written with `Unforwarded_Write`.
+fn machine_chain(hop_limit: u32, len: usize, back: Option<usize>) -> (Machine, Vec<Addr>) {
+    let mut m = Machine::new(SimConfig {
+        hop_limit,
+        ..SimConfig::default()
+    });
+    let words: Vec<Addr> = (0..len).map(|_| m.malloc(8)).collect();
+    for w in words.windows(2) {
+        m.unforwarded_write(w[0], w[1].0, true);
+    }
+    if let Some(k) = back {
+        m.unforwarded_write(words[len - 1], words[k].0, true);
+    }
+    (m, words)
+}
+
+/// The same chain on an SMP machine, built with its relocation primitive
+/// only. The back edge comes from relocating word `back` onto itself:
+/// the walk appends it at the terminal, and the copy rewrites word
+/// `back` with the terminal's data, which is first set to word
+/// `back + 1`'s address so the chain survives.
+fn smp_chain(model: MemoryModel, len: usize, back: Option<usize>) -> (SmpMachine, Vec<Addr>) {
+    let mut m = SmpMachine::new(
+        SmpConfig {
+            cores: 2,
+            ..SmpConfig::default()
+        },
+        SimConfig::default().with_memory_model(model),
+    );
+    let words: Vec<Addr> = (0..len).map(|_| m.malloc(8)).collect();
+    for w in words.windows(2) {
+        m.relocate(0, w[0], w[1], 1);
+        m.fence(0);
+    }
+    if let Some(k) = back {
+        if k + 1 < len {
+            m.store(0, words[len - 1], 8, words[k + 1].0);
+        }
+        m.relocate(0, words[k], words[k], 1);
+        m.fence(0);
+    }
+    (m, words)
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -351,6 +415,52 @@ proptest! {
                 sum
             };
             prop_assert_eq!(scramble(false), scramble(true));
+        }
+    }
+
+    /// Every walker in the simulator follows a chain through the same §3.2
+    /// hop guard: on an acyclic chain each succeeds (and pointer
+    /// comparison lands on `resolve`'s terminal); on a cyclic one each
+    /// reports exactly `resolve`'s cycle as a typed fault.
+    #[test]
+    fn every_walker_agrees_with_resolve(
+        len in 1usize..21,
+        has_back in any::<bool>(),
+        back_to in 0usize..20,
+        hop_limit in 1u32..17,
+    ) {
+        let back = has_back.then_some(back_to % len);
+        let (m, words) = machine_chain(hop_limit, len, back);
+        let want = resolve(m.mem(), words[0], hop_limit);
+
+        let (mut m, words) = machine_chain(hop_limit, len, back);
+        agrees("try_load_word", want, m.try_load_word(words[0]))?;
+        let (mut m, words) = machine_chain(hop_limit, len, back);
+        agrees("try_free", want, m.try_free(words[0]))?;
+        let (mut m, words) = machine_chain(hop_limit, len, back);
+        let tgt = m.malloc(8);
+        agrees("try_relocate", want, try_relocate(&mut m, words[0], tgt, 1))?;
+        let (mut m, words) = machine_chain(hop_limit, len, back);
+        let _ = take_last_fault();
+        let got = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            final_address(&mut m, words[0])
+        }))
+        .map_err(|_| take_last_fault().expect("a panicking walk records its fault"));
+        if let (Ok(r), Ok(fa)) = (want, got) {
+            prop_assert_eq!(r.final_addr, fa);
+        }
+        agrees("final_address", want, got)?;
+
+        for model in [MemoryModel::Sc, MemoryModel::Tso] {
+            let (m, words) = smp_chain(model, len, back);
+            let want = resolve(m.mem(), words[0], DEFAULT_HOP_LIMIT);
+            prop_assert_eq!(want.is_err(), back.is_some(), "{} chain built as asked", model);
+            let (mut m, words) = smp_chain(model, len, back);
+            agrees(&format!("{model} try_load"), want, m.try_load(1, words[0], 8))?;
+            let (mut m, words) = smp_chain(model, len, back);
+            let tgt = m.malloc(8);
+            let got = m.try_relocate(0, words[0], tgt, 1);
+            agrees(&format!("{model} try_relocate"), want, got)?;
         }
     }
 }
