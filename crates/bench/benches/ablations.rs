@@ -8,7 +8,8 @@
 //!    finally pack several to a line (paper §5.3).
 
 use memfwd_apps::{run_ok as run, App, RunConfig, Variant};
-use memfwd_bench::{run_cell, scale_from_env};
+use memfwd_bench::paper::{Cell, Grid};
+use memfwd_bench::scale_from_env;
 use memfwd_tagmem::AllocPolicy;
 
 fn main() {
@@ -44,7 +45,7 @@ fn main() {
     println!();
 
     println!("Ablation 3: linearization threshold (vis, scheme L, 64B lines)");
-    let n = run_cell(App::Vis, Variant::Original, 64, None, scale);
+    let n = Cell::new(App::Vis, Variant::Original, 64).run(scale);
     println!(
         "  threshold=never (N)  cycles={:>12}  relocations={:>8}",
         n.stats.cycles(),
@@ -135,10 +136,18 @@ fn main() {
     println!();
 
     println!("Ablation 7: BH subtree clustering vs line size (incl. 256B)");
-    for lb in [32u64, 64, 128, 256] {
-        let n = run_cell(App::Bh, Variant::Original, lb, None, scale);
-        let l = run_cell(App::Bh, Variant::Optimized, lb, None, scale);
-        assert_eq!(n.checksum, l.checksum);
+    let lines = [32u64, 64, 128, 256];
+    let bh = |variant, lb| Cell::new(App::Bh, variant, lb);
+    let variants = [Variant::Original, Variant::Optimized];
+    let grid = Grid::compute(
+        lines.iter().flat_map(|&lb| variants.map(|v| bh(v, lb))),
+        scale,
+    );
+    for lb in lines {
+        let (n, l) = (
+            &grid[bh(Variant::Original, lb)],
+            &grid[bh(Variant::Optimized, lb)],
+        );
         println!(
             "  {:>3}B lines: N={:>11} L={:>11}  speedup={:.2}",
             lb,

@@ -8,21 +8,20 @@
 //! health — static layouts decay, relocation re-packs them).
 
 use memfwd_apps::{App, Variant};
-use memfwd_bench::{run_cell, scale_from_env, write_csv};
+use memfwd_bench::paper::{Cell, Grid};
+use memfwd_bench::{scale_from_env, write_csv};
 
 fn main() {
-    let scale = scale_from_env();
+    let apps = [App::Eqntott, App::Vis, App::Health];
+    let variants = [Variant::Original, Variant::Static, Variant::Optimized];
+    let cells = apps.map(|app| variants.map(|v| Cell::new(app, v, 64)));
+    let grid = Grid::compute(cells.into_iter().flatten(), scale_from_env());
     println!("Static placement (S) vs relocation (L), 64B lines, N = 100");
     let header = format!("{:<10} {:>7} {:>7} {:>7}   verdict", "app", "N", "S", "L");
-    println!("{header}");
-    memfwd_bench::rule(&header);
+    memfwd_bench::print_header(&header);
     let mut csv = Vec::new();
-    for app in [App::Eqntott, App::Vis, App::Health] {
-        let n = run_cell(app, Variant::Original, 64, None, scale);
-        let s = run_cell(app, Variant::Static, 64, None, scale);
-        let l = run_cell(app, Variant::Optimized, 64, None, scale);
-        assert_eq!(n.checksum, s.checksum, "{app}: static placement diverged");
-        assert_eq!(n.checksum, l.checksum, "{app}: relocation diverged");
+    for (app, [n, s, l]) in apps.into_iter().zip(cells) {
+        let [n, s, l] = [n, s, l].map(|c| &grid[c]);
         let norm = |c: u64| c as f64 / n.stats.cycles() as f64 * 100.0;
         let (sv, lv) = (norm(s.stats.cycles()), norm(l.stats.cycles()));
         let verdict = if sv < lv {
@@ -38,16 +37,12 @@ fn main() {
             lv,
             verdict
         );
-        csv.push(vec![
-            app.name().to_string(),
-            n.stats.cycles().to_string(),
-            s.stats.cycles().to_string(),
-            l.stats.cycles().to_string(),
-        ]);
+        let [nc, sc, lc] = [n, s, l].map(|o| o.stats.cycles());
+        csv.push(format!("{app},{nc},{sc},{lc}"));
     }
     write_csv(
         "static_vs_relocation",
-        &["app", "n_cycles", "static_cycles", "relocation_cycles"],
+        "app,n_cycles,static_cycles,relocation_cycles",
         &csv,
     );
     println!();

@@ -2,21 +2,21 @@
 //! instruction counts, and the space overhead of relocation.
 
 use memfwd_apps::{App, Variant};
-use memfwd_bench::{run_cell, scale_from_env};
+use memfwd_bench::paper::{Cell, Grid};
+use memfwd_bench::scale_from_env;
 
 fn main() {
-    let scale = scale_from_env();
+    let variants = [Variant::Original, Variant::Optimized];
+    let cells = App::ALL.map(|app| variants.map(|v| Cell::new(app, v, 32)));
+    let grid = Grid::compute(cells.into_iter().flatten(), scale_from_env());
     let header = format!(
         "{:<10} {:<50} {:>12} {:>12} {:>14}",
         "App", "Optimization (L variant)", "insts (N)", "insts (L)", "space ovh (KB)"
     );
     println!("Table 1: application and optimization inventory");
-    println!("{header}");
-    memfwd_bench::rule(&header);
-    for app in App::ALL {
-        let n = run_cell(app, Variant::Original, 32, None, scale);
-        let l = run_cell(app, Variant::Optimized, 32, None, scale);
-        assert_eq!(n.checksum, l.checksum, "{app}: relocation must be safe");
+    memfwd_bench::print_header(&header);
+    for (app, [n, l]) in App::ALL.into_iter().zip(cells) {
+        let (n, l) = (&grid[n], &grid[l]);
         println!(
             "{:<10} {:<50} {:>12} {:>12} {:>14.1}",
             app.name(),

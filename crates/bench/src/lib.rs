@@ -3,7 +3,9 @@
 //!
 //! Each `cargo bench` target is a standalone binary (`harness = false`)
 //! that runs the relevant simulations and prints the same rows or series
-//! the paper reports. The helpers here are shared by those targets.
+//! the paper reports. The helpers here are shared by those targets; the
+//! Fig. 5/6/7/10 targets render from [`paper::Grid`], the grid the paper's
+//! claims are gated on.
 //!
 //! Set `MEMFWD_SCALE=smoke` to run every experiment on tiny inputs (for CI
 //! smoke-testing the harness itself); the default is the bench scale whose
@@ -14,12 +16,14 @@
 // Same discipline as the core crates: bare `unwrap()` is test-only.
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
-use memfwd_apps::{run_ok as run, App, AppOutput, RunConfig, Scale, Variant};
+use memfwd_apps::{AppOutput, Scale};
 
 // The sweep engine moved to `memfwd-farm` when it grew campaign
 // supervision; this re-export keeps `memfwd_bench::sweep::*` paths (CI
 // scripts, tests, EXPERIMENTS.md) working unchanged.
 pub use memfwd_farm::sweep;
+
+pub mod paper;
 
 /// The line sizes swept by Fig. 5/6 of the paper.
 pub const LINE_SIZES: [u64; 3] = [32, 64, 128];
@@ -53,71 +57,17 @@ pub fn scale_from_env() -> Scale {
     }
 }
 
-/// Runs one experiment cell.
-pub fn run_cell(
-    app: App,
-    variant: Variant,
-    line_bytes: u64,
-    prefetch_lines: Option<u64>,
-    scale: Scale,
-) -> AppOutput {
-    let mut cfg = RunConfig::new(variant);
-    cfg.scale = scale;
-    cfg.sim = cfg.sim.with_line_bytes(line_bytes);
-    if let Some(b) = prefetch_lines {
-        cfg.prefetch = true;
-        cfg.prefetch_lines = b;
-    }
-    run(app, &cfg)
-}
-
-/// Runs a prefetching cell for every block size in `blocks` and returns
-/// the best-performing output with its block size — the paper reports "the
-/// block size that performed the best for each case".
-pub fn best_prefetch(
-    app: App,
-    variant: Variant,
-    line_bytes: u64,
-    blocks: &[u64],
-    scale: Scale,
-) -> (u64, AppOutput) {
-    blocks
-        .iter()
-        .map(|&b| (b, run_cell(app, variant, line_bytes, Some(b), scale)))
-        .min_by_key(|(_, out)| out.stats.cycles())
-        .expect("non-empty block list")
-}
-
-/// One row of a Fig. 5-style breakdown: graduation slots by category,
-/// normalized so that a reference runtime is 100.
-#[derive(Debug, Clone, Copy)]
-pub struct Breakdown {
-    /// Total normalized height of the bar.
-    pub total: f64,
-    /// Normalized busy section.
-    pub busy: f64,
-    /// Normalized load-stall section.
-    pub load_stall: f64,
-    /// Normalized store-stall section.
-    pub store_stall: f64,
-    /// Normalized inst-stall section.
-    pub inst_stall: f64,
-}
-
-impl Breakdown {
-    /// Computes the breakdown of `out` normalized against `ref_cycles`.
-    pub fn of(out: &AppOutput, ref_cycles: u64) -> Breakdown {
-        let s = out.stats.slots();
-        let scale = 100.0 / ref_cycles as f64 / out.stats.pipeline.slots.total().max(1) as f64
-            * out.stats.cycles() as f64;
-        Breakdown {
-            total: 100.0 * out.stats.cycles() as f64 / ref_cycles as f64,
-            busy: s.busy as f64 * scale,
-            load_stall: s.load_stall as f64 * scale,
-            store_stall: s.store_stall as f64 * scale,
-            inst_stall: s.inst_stall as f64 * scale,
-        }
-    }
+/// One bar of Fig. 5: `[total, busy, load stall, store stall, inst
+/// stall]`, normalized so that `ref_cycles` is 100; the sections sum to
+/// the total.
+pub fn breakdown(out: &AppOutput, ref_cycles: u64) -> [f64; 5] {
+    let s = out.stats.slots();
+    let total = 100.0 * out.stats.cycles() as f64 / ref_cycles as f64;
+    let scale = 100.0 / ref_cycles as f64 / out.stats.pipeline.slots.total().max(1) as f64
+        * out.stats.cycles() as f64;
+    let sections = [s.busy, s.load_stall, s.store_stall, s.inst_stall];
+    let [busy, load, store, inst] = sections.map(|n| n as f64 * scale);
+    [total, busy, load, store, inst]
 }
 
 /// Formats a ratio as a signed percentage speedup annotation, as under the
@@ -127,36 +77,25 @@ pub fn speedup_pct(unopt_cycles: u64, opt_cycles: u64) -> String {
     format!("{:+.0}%", (s - 1.0) * 100.0)
 }
 
-/// Prints a horizontal rule sized to a header string.
-pub fn rule(header: &str) {
-    println!("{}", "-".repeat(header.len()));
+/// Prints a table header and a horizontal rule sized to it.
+pub fn print_header(header: &str) {
+    println!("{header}\n{}", "-".repeat(header.len()));
 }
 
-/// Writes an experiment's rows as CSV under `target/experiments/`, so the
-/// figures can be re-plotted outside the terminal. Failures are reported
-/// but never abort the experiment.
-pub fn write_csv(name: &str, header: &[&str], rows: &[Vec<String>]) {
+/// Writes an experiment's comma-separated `header` and `rows` as CSV under
+/// `target/experiments/`, so the figures can be re-plotted outside the
+/// terminal. Failures are reported but never abort the experiment.
+pub fn write_csv(name: &str, header: &str, rows: &[String]) {
     // Benches run with the package directory as CWD; anchor the output at
     // the workspace target directory instead.
     let dir = std::env::var("CARGO_MANIFEST_DIR")
         .map(|p| std::path::PathBuf::from(p).join("../../target/experiments"))
         .unwrap_or_else(|_| std::path::PathBuf::from("target/experiments"));
-    let dir = dir.as_path();
-    let write = || -> std::io::Result<std::path::PathBuf> {
-        std::fs::create_dir_all(dir)?;
-        let path = dir.join(format!("{name}.csv"));
-        let mut out = String::new();
-        out.push_str(&header.join(","));
-        out.push('\n');
-        for row in rows {
-            out.push_str(&row.join(","));
-            out.push('\n');
-        }
-        std::fs::write(&path, out)?;
-        Ok(path)
-    };
-    match write() {
-        Ok(path) => println!("(csv written to {})", path.display()),
+    let lines = std::iter::once(header).chain(rows.iter().map(String::as_str));
+    let text: String = lines.map(|line| format!("{line}\n")).collect();
+    let path = dir.join(format!("{name}.csv"));
+    match std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, text)) {
+        Ok(()) => println!("(csv written to {})", path.display()),
         Err(e) => eprintln!("(csv export failed: {e})"),
     }
 }
@@ -164,18 +103,15 @@ pub fn write_csv(name: &str, header: &[&str], rows: &[Vec<String>]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use memfwd_apps::{App, Variant};
 
     #[test]
     fn breakdown_sections_sum_to_total() {
-        let out = run_cell(App::Vis, Variant::Original, 32, None, Scale::Smoke);
-        let b = Breakdown::of(&out, out.stats.cycles());
-        assert!((b.total - 100.0).abs() < 1e-9);
-        let sum = b.busy + b.load_stall + b.store_stall + b.inst_stall;
-        assert!(
-            (sum - b.total).abs() < 1e-6,
-            "sum {sum} != total {}",
-            b.total
-        );
+        let out = paper::Cell::new(App::Vis, Variant::Original, 32).run(Scale::Smoke);
+        let [total, sections @ ..] = breakdown(&out, out.stats.cycles());
+        assert!((total - 100.0).abs() < 1e-9);
+        let sum: f64 = sections.iter().sum();
+        assert!((sum - total).abs() < 1e-6, "sum {sum} != total {total}");
     }
 
     #[test]
@@ -183,13 +119,6 @@ mod tests {
         assert_eq!(speedup_pct(200, 100), "+100%");
         assert_eq!(speedup_pct(100, 100), "+0%");
         assert_eq!(speedup_pct(80, 100), "-20%");
-    }
-
-    #[test]
-    fn best_prefetch_picks_minimum() {
-        let (b, out) = best_prefetch(App::Vis, Variant::Optimized, 32, &[1, 2], Scale::Smoke);
-        assert!(b == 1 || b == 2);
-        assert!(out.stats.cycles() > 0);
     }
 
     #[test]

@@ -35,6 +35,7 @@
 
 pub mod journal;
 pub mod minijson;
+pub mod pool;
 pub mod supervisor;
 pub mod sweep;
 pub mod worker;

@@ -24,11 +24,10 @@
 //! field-by-field description).
 
 use crate::minijson::{parse_json, Json};
+use crate::pool::par_map;
 use memfwd::{json_escape, RunStats};
 use memfwd_apps::{run, App, RunConfig, Scale, Variant};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
 use std::time::Instant;
 
 /// Version stamped into every report; bump when the schema changes shape.
@@ -85,7 +84,32 @@ pub struct CellSpec {
     pub seed: u64,
 }
 
+impl CellSpec {
+    /// The run configuration this cell names at `scale`.
+    pub fn config(&self, scale: Scale) -> RunConfig {
+        let mut cfg = RunConfig::new(self.variant);
+        cfg.scale = scale;
+        cfg.seed = self.seed;
+        cfg.sim = cfg.sim.with_line_bytes(self.line_bytes);
+        cfg.sim.hierarchy.mem_latency = self.mem_latency;
+        cfg
+    }
+}
+
 impl SweepSpec {
+    /// The length of [`SweepSpec::expand`], or `None` if it overflows
+    /// `usize`; computed without expanding.
+    pub fn cell_count(&self) -> Option<usize> {
+        [
+            self.variants.len(),
+            self.line_bytes.len(),
+            self.mem_latency.len(),
+            self.seeds.len(),
+        ]
+        .into_iter()
+        .try_fold(self.apps.len(), usize::checked_mul)
+    }
+
     /// Expands the axes into the ordered cell list.
     pub fn expand(&self) -> Vec<CellSpec> {
         let mut cells = Vec::new();
@@ -274,13 +298,8 @@ pub fn describe_panic(payload: Box<dyn std::any::Any + Send>) -> String {
 /// string instead of panicking. Panics from simulator bugs still unwind;
 /// the worker pool catches those at its boundary.
 pub fn run_cell(scale: Scale, c: CellSpec) -> Result<CellResult, String> {
-    let mut cfg = RunConfig::new(c.variant);
-    cfg.scale = scale;
-    cfg.seed = c.seed;
-    cfg.sim = cfg.sim.with_line_bytes(c.line_bytes);
-    cfg.sim.hierarchy.mem_latency = c.mem_latency;
     let t = Instant::now();
-    let out = run(c.app, &cfg).map_err(|fault| format!("machine fault: {fault}"))?;
+    let out = run(c.app, &c.config(scale)).map_err(|fault| format!("machine fault: {fault}"))?;
     let host_nanos = t.elapsed().as_nanos() as u64;
     Ok(CellResult {
         spec: c,
@@ -297,12 +316,9 @@ pub fn run_sweep(spec: &SweepSpec, jobs: usize) -> SweepReport {
     run_sweep_with(spec, jobs, &|scale, c| run_cell(scale, c))
 }
 
-/// Runs every cell of `spec` on `jobs` worker threads.
-///
-/// Workers claim the next unclaimed cell index from a shared atomic counter
-/// (work stealing at cell granularity: a worker that finishes early keeps
-/// claiming while slower cells run elsewhere), so wall-clock scales with
-/// `jobs` while the report content stays identical.
+/// Runs every cell of `spec` on `jobs` worker threads ([`par_map`]),
+/// so wall-clock scales with `jobs` while the report content stays
+/// identical.
 ///
 /// Each `runner` call is wrapped in `catch_unwind`: a panicking or failing
 /// cell becomes a typed [`CellOutcome::Poisoned`] entry in the report
@@ -312,58 +328,26 @@ pub fn run_sweep_with(
     jobs: usize,
     runner: &(dyn Fn(Scale, CellSpec) -> Result<CellResult, String> + Sync),
 ) -> SweepReport {
-    let cells = spec.expand();
     let jobs = jobs.max(1);
-    let workers = jobs.min(cells.len().max(1));
     let t0 = Instant::now();
-    let next = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<(usize, CellReport)>();
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            let tx = tx.clone();
-            let next = &next;
-            let cells = &cells;
-            s.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= cells.len() {
-                    break;
-                }
-                let spec_i = cells[i];
-                let r = match catch_unwind(AssertUnwindSafe(|| runner(spec.scale, spec_i))) {
-                    Ok(Ok(result)) => CellReport::completed(result),
-                    Ok(Err(error)) => CellReport {
-                        spec: spec_i,
-                        outcome: CellOutcome::Poisoned,
-                        attempts: 1,
-                        sim: None,
-                        error: Some(error),
-                    },
-                    Err(payload) => CellReport {
-                        spec: spec_i,
-                        outcome: CellOutcome::Poisoned,
-                        attempts: 1,
-                        sim: None,
-                        error: Some(describe_panic(payload)),
-                    },
-                };
-                if tx.send((i, r)).is_err() {
-                    break;
-                }
-            });
+    let cells = par_map(&spec.expand(), jobs, |&c| {
+        let error = match catch_unwind(AssertUnwindSafe(|| runner(spec.scale, c))) {
+            Ok(Ok(result)) => return CellReport::completed(result),
+            Ok(Err(error)) => error,
+            Err(payload) => describe_panic(payload),
+        };
+        CellReport {
+            spec: c,
+            outcome: CellOutcome::Poisoned,
+            attempts: 1,
+            sim: None,
+            error: Some(error),
         }
     });
-    drop(tx);
-    let mut slots: Vec<Option<CellReport>> = vec![None; cells.len()];
-    for (i, r) in rx {
-        slots[i] = Some(r);
-    }
     SweepReport {
         jobs,
         scale: spec.scale,
-        cells: slots
-            .into_iter()
-            .map(|s| s.expect("every cell was claimed exactly once"))
-            .collect(),
+        cells,
         host_wall_nanos: t0.elapsed().as_nanos() as u64,
         selftest_refs_per_second: None,
     }
@@ -640,6 +624,20 @@ mod tests {
         assert_eq!(cells[0].variant, Variant::Original);
         assert_eq!(cells[1].variant, Variant::Optimized);
         assert_eq!(cells[2].app, App::Mst);
+    }
+
+    #[test]
+    fn cell_count_matches_expand_without_expanding() {
+        assert_eq!(tiny_spec().cell_count(), Some(4));
+        let huge = SweepSpec {
+            apps: vec![App::Vis; 1 << 16],
+            variants: vec![Variant::Original; 1 << 16],
+            line_bytes: vec![32; 1 << 11],
+            mem_latency: vec![75; 1 << 11],
+            seeds: vec![1; 1 << 11],
+            scale: Scale::Smoke,
+        };
+        assert_eq!(huge.cell_count(), None);
     }
 
     #[test]

@@ -16,6 +16,9 @@
 //! | `drain`  | —                         | `draining` (starts graceful  |
 //! |          |                           | drain, like SIGTERM)         |
 //!
+//! A request line longer than [`MAX_REQUEST_BYTES`] is answered with a
+//! typed `error` and the connection is closed.
+//!
 //! The typed shed response is the backpressure contract: an overloaded
 //! server answers `{"ok": false, "type": "shed", "reason": ...,
 //! "queue_depth": N, "limit": M}` instead of queueing without bound, and
@@ -31,6 +34,10 @@ use memfwd::json_escape;
 use memfwd_apps::{App, Scale, Variant};
 use memfwd_farm::minijson::{parse_json, Json};
 use memfwd_farm::SweepSpec;
+
+/// The longest request line the server reads, newline excluded. A
+/// 512-value axis list fits in a few kilobytes.
+pub const MAX_REQUEST_BYTES: usize = 64 * 1024;
 
 /// Per-job supervision options a client may attach to `submit`. Missing
 /// fields take these defaults; unknown fields are rejected.

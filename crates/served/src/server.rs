@@ -40,7 +40,7 @@ use memfwd_farm::{
     InProcessRunner, Journal, SubprocessRunner, SweepSpec,
 };
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -424,14 +424,17 @@ fn handle_submit(state: &ServerState, spec: SweepSpec, options: JobOptions) -> S
     if signal::drain_requested() {
         return proto::resp_draining();
     }
-    let cells = spec.expand();
-    if cells.is_empty() {
-        return proto::resp_error("submitted grid expands to zero cells");
-    }
-    if cells.len() > state.opts.max_cells_per_job {
-        bump(&state.stats.jobs_shed);
-        return proto::resp_shed("job_too_large", cells.len(), state.opts.max_cells_per_job);
-    }
+    // Bound the grid by its axis lengths: expanding first would let a
+    // few kilobytes of request allocate without limit.
+    let limit = state.opts.max_cells_per_job;
+    let cells = match spec.cell_count() {
+        Some(0) => return proto::resp_error("submitted grid expands to zero cells"),
+        Some(n) if n <= limit => n,
+        n => {
+            bump(&state.stats.jobs_shed);
+            return proto::resp_shed("job_too_large", n.unwrap_or(usize::MAX), limit);
+        }
+    };
     let mut table = state.table.lock().expect("job table lock");
     let pending = table.pending_jobs();
     if pending >= state.opts.max_pending_jobs {
@@ -439,7 +442,7 @@ fn handle_submit(state: &ServerState, spec: SweepSpec, options: JobOptions) -> S
         return proto::resp_shed("jobs_full", pending, state.opts.max_pending_jobs);
     }
     let depth = table.queue_depth();
-    if depth + cells.len() > state.opts.max_queued_cells {
+    if depth + cells > state.opts.max_queued_cells {
         bump(&state.stats.jobs_shed);
         return proto::resp_shed("queue_full", depth, state.opts.max_queued_cells);
     }
@@ -468,7 +471,7 @@ fn handle_submit(state: &ServerState, spec: SweepSpec, options: JobOptions) -> S
         spec,
         options,
         dir,
-        cells: cells.len(),
+        cells,
         fingerprint,
         state: Mutex::new(JobState::Queued),
         cells_done: AtomicUsize::new(0),
@@ -575,22 +578,39 @@ fn handle_conn(state: &ServerState, stream: UnixStream) {
     // A dead client must not pin the connection (and the drain grace
     // period) forever.
     stream.set_read_timeout(Some(Duration::from_secs(30))).ok();
-    let reader = match stream.try_clone() {
+    let mut reader = match stream.try_clone() {
         Ok(s) => BufReader::new(s),
         Err(_) => return,
     };
     let mut writer = stream;
-    for line in reader.lines() {
-        let Ok(line) = line else { return };
-        if line.trim().is_empty() {
-            continue;
+    let mut line = Vec::new();
+    loop {
+        line.clear();
+        // One byte past the cap tells an over-long line from a full one.
+        let cap = proto::MAX_REQUEST_BYTES as u64 + 1;
+        match (&mut reader).take(cap).read_until(b'\n', &mut line) {
+            Ok(0) | Err(_) => return,
+            Ok(_) => {}
         }
-        let resp = handle_request(state, &line);
+        let over_long = line.len() > proto::MAX_REQUEST_BYTES && line.last() != Some(&b'\n');
+        let resp = if over_long {
+            proto::resp_error(&format!(
+                "request line exceeds {} bytes",
+                proto::MAX_REQUEST_BYTES
+            ))
+        } else {
+            match std::str::from_utf8(&line).map(str::trim) {
+                Ok("") => continue,
+                Ok(text) => handle_request(state, text),
+                Err(_) => proto::resp_error("request line is not UTF-8"),
+            }
+        };
         if writer
             .write_all(resp.as_bytes())
             .and_then(|()| writer.write_all(b"\n"))
             .and_then(|()| writer.flush())
             .is_err()
+            || over_long
         {
             return;
         }

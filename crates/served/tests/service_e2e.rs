@@ -354,6 +354,61 @@ fn overload_sheds_typed_and_health_answers() {
     );
 }
 
+/// A grid whose axis product passes 2^40 cells is shed as `job_too_large`
+/// from its axis lengths alone; expanding it would need terabytes.
+#[test]
+fn huge_grid_is_shed_before_expansion() {
+    let server = Server::start("huge", false, &[]);
+    let mut c = server.client();
+    let spec = SweepSpec {
+        apps: App::ALL.to_vec(),
+        variants: vec![Variant::Original, Variant::Optimized, Variant::Static],
+        line_bytes: vec![32; 4096],
+        mem_latency: vec![75; 4096],
+        seeds: vec![1; 4096],
+        scale: Scale::Smoke,
+    };
+    let cells = spec.cell_count().expect("fits in usize");
+    assert!(cells > 1 << 40, "{cells}");
+    let v = c.submit(&spec);
+    assert_eq!(v.get("type").and_then(Json::as_str), Some("shed"), "{v:?}");
+    assert_eq!(
+        v.get("reason").and_then(Json::as_str),
+        Some("job_too_large"),
+        "{v:?}"
+    );
+    assert_eq!(
+        v.get("queue_depth").and_then(Json::as_u64),
+        Some(cells as u64)
+    );
+    assert_eq!(c.stat("jobs_shed"), 1);
+}
+
+/// A request line one byte over the cap, with no newline, gets a typed
+/// error and a closed connection; the server keeps serving others.
+#[test]
+fn over_long_request_line_is_refused_typed() {
+    let server = Server::start("longline", false, &[]);
+    let mut c = server.client();
+    c.writer
+        .write_all(&vec![b' '; proto::MAX_REQUEST_BYTES + 1])
+        .expect("send");
+    let mut resp = String::new();
+    c.reader.read_line(&mut resp).expect("recv");
+    let v = parse_json(&resp).unwrap_or_else(|e| panic!("bad response {resp:?}: {e}"));
+    assert_eq!(v.get("type").and_then(Json::as_str), Some("error"), "{v:?}");
+    assert!(
+        v.get("error")
+            .and_then(Json::as_str)
+            .is_some_and(|e| e.contains("exceeds")),
+        "{v:?}"
+    );
+    resp.clear();
+    assert_eq!(c.reader.read_line(&mut resp).expect("eof"), 0, "{resp:?}");
+    let v = server.client().rpc("{\"op\":\"health\"}");
+    assert_eq!(v.get("ok").and_then(Json::as_bool), Some(true), "{v:?}");
+}
+
 /// The production worker mode: cells run as `--worker-cell` re-execs of
 /// the server binary (not in-process), results flow back through sealed
 /// result files, and the report still matches the local run byte for
