@@ -165,11 +165,8 @@ fn parse_args() -> Result<Cli, String> {
                     Variant::from_name(&v).ok_or_else(|| format!("unknown variant '{v}'"))?;
             }
             "--scale" => {
-                cli.scale = match next_val(&mut args, "--scale")?.as_str() {
-                    "smoke" => Scale::Smoke,
-                    "bench" => Scale::Bench,
-                    other => return Err(format!("unknown scale '{other}'")),
-                };
+                let v = next_val(&mut args, "--scale")?;
+                cli.scale = Scale::from_name(&v).ok_or_else(|| format!("unknown scale '{v}'"))?;
             }
             "--seed" => {
                 cli.seed = next_val(&mut args, "--seed")?

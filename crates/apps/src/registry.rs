@@ -140,6 +140,23 @@ pub enum Scale {
     Bench,
 }
 
+impl Scale {
+    /// Lower-case name for CLI / report use.
+    pub fn name(self) -> &'static str {
+        match self {
+            Scale::Smoke => "smoke",
+            Scale::Bench => "bench",
+        }
+    }
+
+    /// Parses a lower-case scale name (the inverse of [`Scale::name`]).
+    pub fn from_name(name: &str) -> Option<Scale> {
+        [Scale::Smoke, Scale::Bench]
+            .into_iter()
+            .find(|s| s.name() == name)
+    }
+}
+
 /// One run request.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RunConfig {
@@ -326,6 +343,10 @@ mod tests {
             assert_eq!(format!("{app}"), app.name());
         }
         assert!(!App::FIG5.contains(&App::Smv));
+        for scale in [Scale::Smoke, Scale::Bench] {
+            assert_eq!(Scale::from_name(scale.name()), Some(scale));
+        }
+        assert_eq!(Scale::from_name("huge"), None);
     }
 
     #[test]

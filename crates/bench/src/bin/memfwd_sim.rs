@@ -146,11 +146,8 @@ fn parse() -> Result<Cli, String> {
             }
             "--hw-prefetch" => cfg.sim.hierarchy.next_line_prefetch = true,
             "--scale" => {
-                cfg.scale = match next_val(&mut args, "--scale")?.as_str() {
-                    "smoke" => Scale::Smoke,
-                    "bench" => Scale::Bench,
-                    other => return Err(format!("unknown scale '{other}'")),
-                };
+                let v = next_val(&mut args, "--scale")?;
+                cfg.scale = Scale::from_name(&v).ok_or_else(|| format!("unknown scale '{v}'"))?;
             }
             "--seed" => {
                 cfg.seed = next_val(&mut args, "--seed")?

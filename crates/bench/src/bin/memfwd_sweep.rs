@@ -22,11 +22,11 @@
 
 use memfwd_apps::{App, Scale, Variant};
 use memfwd_bench::sweep::{
-    run_sweep, selftest, strip_host_lines, strip_volatile_lines, validate_report, SweepSpec,
+    selftest, strip_host_lines, strip_volatile_lines, validate_report, SweepReport, SweepSpec,
 };
 use memfwd_farm::{
-    campaign_fingerprint, parse_worker_args, run_campaign, run_worker_cell, ChaosSpec, FarmOptions,
-    Journal, SubprocessRunner, WorkerArgs,
+    campaign_fingerprint, parse_worker_args, run_campaign, run_worker_cell, CellRunner, ChaosSpec,
+    FarmOptions, InProcessRunner, Journal, SubprocessRunner, WorkerArgs,
 };
 
 const USAGE: &str = "\
@@ -214,11 +214,8 @@ fn parse() -> Result<Mode, String> {
                 spec.seeds = parse_list("--seeds", &v, |s| s.parse::<u64>())?;
             }
             "--scale" => {
-                spec.scale = match next_val(&mut args, "--scale")?.as_str() {
-                    "smoke" => Scale::Smoke,
-                    "bench" => Scale::Bench,
-                    other => return Err(format!("unknown scale '{other}'")),
-                };
+                let v = next_val(&mut args, "--scale")?;
+                spec.scale = Scale::from_name(&v).ok_or_else(|| format!("unknown scale '{v}'"))?;
             }
             "--jobs" => {
                 let v = next_val(&mut args, "--jobs")?;
@@ -420,46 +417,53 @@ fn open_journal(cli: &Cli, fingerprint: u64) -> Journal {
     }
 }
 
-fn run_supervised(cli: &Cli) -> memfwd_bench::sweep::SweepReport {
-    if let Err(e) = std::fs::create_dir_all(&cli.farm_dir) {
-        eprintln!("error: creating farm dir {}: {e}", cli.farm_dir.display());
-        std::process::exit(2);
-    }
-    let fingerprint = campaign_fingerprint(&cli.spec);
-    let mut journal = open_journal(cli, fingerprint);
-    let exe = match std::env::current_exe() {
-        Ok(exe) => exe,
-        Err(e) => {
-            eprintln!("error: locating own binary for worker re-exec: {e}");
+/// Runs the grid on the campaign engine. `--supervised` picks the worker
+/// runner, the journal and the retry budget; without it every cell runs
+/// once, in-process, unjournaled.
+fn run_grid(cli: &Cli) -> SweepReport {
+    let mut journal = None;
+    let runner: Box<dyn CellRunner> = if cli.supervised {
+        if let Err(e) = std::fs::create_dir_all(&cli.farm_dir) {
+            eprintln!("error: creating farm dir {}: {e}", cli.farm_dir.display());
             std::process::exit(2);
         }
-    };
-    let runner = SubprocessRunner {
-        exe,
-        farm_dir: cli.farm_dir.clone(),
-        cell_timeout: cli.cell_timeout_ms.map(std::time::Duration::from_millis),
-        ckpt_every: cli.ckpt_every,
-        chaos: cli.chaos.clone(),
+        journal = Some(open_journal(cli, campaign_fingerprint(&cli.spec)));
+        let exe = match std::env::current_exe() {
+            Ok(exe) => exe,
+            Err(e) => {
+                eprintln!("error: locating own binary for worker re-exec: {e}");
+                std::process::exit(2);
+            }
+        };
+        Box::new(SubprocessRunner {
+            exe,
+            farm_dir: cli.farm_dir.clone(),
+            cell_timeout: cli.cell_timeout_ms.map(std::time::Duration::from_millis),
+            ckpt_every: cli.ckpt_every,
+            chaos: cli.chaos.clone(),
+        })
+    } else {
+        Box::new(InProcessRunner)
     };
     let opts = FarmOptions {
         jobs: cli.jobs,
-        retries: cli.retries,
+        retries: if cli.supervised { cli.retries } else { 0 },
         backoff_ms: cli.backoff_ms,
-        cell_timeout: runner.cell_timeout,
         crash_after_appends: cli.crash_after_appends,
-        ..FarmOptions::default()
     };
-    let run = match run_campaign(&cli.spec, &opts, &runner, &mut journal) {
+    let run = match run_campaign(&cli.spec, &opts, &*runner, journal.as_mut(), &|| false) {
         Ok(run) => run,
         Err(e) => {
             eprintln!("error: campaign journal failure: {e}");
             std::process::exit(22);
         }
     };
-    eprintln!(
-        "supervisor: {} cells from journal (zero recompute), {} executed",
-        run.from_journal, run.executed
-    );
+    if cli.supervised {
+        eprintln!(
+            "supervisor: {} cells from journal (zero recompute), {} executed",
+            run.from_journal, run.executed
+        );
+    }
     match run.report {
         Some(report) => report,
         None => {
@@ -663,11 +667,7 @@ fn main() {
         cli.spec.scale,
         if cli.supervised { " [supervised]" } else { "" }
     );
-    let mut report = if cli.supervised {
-        run_supervised(&cli)
-    } else {
-        run_sweep(&cli.spec, cli.jobs)
-    };
+    let mut report = run_grid(&cli);
     report.selftest_refs_per_second = selftest_rps;
 
     for c in &report.cells {

@@ -1,4 +1,4 @@
-//! The worker pool shared by the sweep engine and the paper grid.
+//! The one worker pool: the campaign engine and the paper grid both run on it.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 

@@ -1,10 +1,12 @@
 //! The campaign supervisor: retry, quarantine, durability, resume.
 //!
-//! [`run_campaign`] is the farm's control loop. It walks the PR-3 grid
-//! expansion with a worker-thread pool (same claim-by-atomic-counter
-//! discipline as the plain sweep), but each cell goes through a
-//! [`CellRunner`] — in-process with `catch_unwind`, or out-of-process via
-//! [`SubprocessRunner`] — and through a terminal-outcome state machine:
+//! [`run_campaign`] is the farm's one engine: the plain sweep
+//! ([`crate::sweep::run_sweep`]), a supervised `memfwd_sweep` campaign and
+//! every `memfwd_served` job run through it. It maps one per-cell step over
+//! the grid expansion with [`par_map`], the tree's only worker pool. Each
+//! cell goes through a [`CellRunner`] — in-process ([`InProcessRunner`]) or
+//! out-of-process ([`SubprocessRunner`]) — and through a terminal-outcome
+//! state machine:
 //!
 //! ```text
 //!   journaled? ──yes──► reuse record (zero recompute)
@@ -16,19 +18,22 @@
 //!   CellOutcome::Ok   CellOutcome::Retried(n)   Poisoned / TimedOut
 //! ```
 //!
-//! Every terminal outcome is durably appended to the campaign
-//! [`crate::journal::Journal`] *before* the campaign moves on, so a
-//! SIGKILLed supervisor loses at most the cells that were mid-flight.
-//! Backoff is seeded-deterministic (splitmix64 over seed × cell key ×
-//! attempt), so two runs of the same degraded campaign wait the same
+//! With a journal, every terminal outcome is durably appended to the
+//! campaign [`crate::journal::Journal`] *before* the campaign moves on, so
+//! a SIGKILLed supervisor loses at most the cells that were mid-flight.
+//! Backoff is seeded-deterministic (splitmix64 over a fixed seed × cell
+//! key × attempt), so two runs of the same degraded campaign wait the same
 //! schedule.
 //!
-//! The [`FarmOptions::crash_after_appends`] knob is the deterministic
-//! stand-in for a supervisor SIGKILL used by the kill-at-every-append
-//! resume tests: the campaign stops cold after the N-th journal append,
-//! exactly as if the process had died there.
+//! The caller's stop predicate is polled before each cell is claimed: once
+//! it holds, cells in flight still reach a journaled terminal outcome and
+//! the rest are left for a resume. [`FarmOptions::crash_after_appends`] is
+//! the deterministic stand-in for a supervisor SIGKILL used by the
+//! kill-at-every-append resume tests: the campaign stops cold after the
+//! N-th journal append, exactly as if the process had died there.
 
 use crate::journal::{cell_key, Journal, JournalError, JournalRecord};
+use crate::pool::par_map;
 use crate::sweep::{
     describe_panic, run_cell, CellOutcome, CellReport, CellResult, CellSpec, SweepReport, SweepSpec,
 };
@@ -38,7 +43,7 @@ use std::io::Read;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::process::{ChildStdout, Command, Stdio};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -54,21 +59,9 @@ pub struct FarmOptions {
     /// Base backoff before the first retry, in milliseconds; doubles per
     /// subsequent retry. `0` disables backoff sleeps (tests).
     pub backoff_ms: u64,
-    /// Seed of the deterministic backoff jitter.
-    pub backoff_seed: u64,
-    /// No-progress deadline per worker attempt. A worker that sends no
-    /// heartbeat for this long is killed and the attempt counts as timed
-    /// out. `None` disables the deadline.
-    pub cell_timeout: Option<Duration>,
     /// Testing knob: stop the campaign cold after this many journal
     /// appends, as if the supervisor had been SIGKILLed there.
     pub crash_after_appends: Option<u64>,
-    /// Cooperative stop flag (graceful drain). When it turns true,
-    /// workers stop *claiming* new cells; cells already in flight run to
-    /// their terminal outcome and are journaled before the campaign
-    /// returns. Unlike a crash, nothing in flight is abandoned. `None`
-    /// never stops.
-    pub stop: Option<std::sync::Arc<AtomicBool>>,
 }
 
 impl Default for FarmOptions {
@@ -77,13 +70,13 @@ impl Default for FarmOptions {
             jobs: 1,
             retries: 2,
             backoff_ms: 50,
-            backoff_seed: 0x00C0_FFEE,
-            cell_timeout: None,
             crash_after_appends: None,
-            stop: None,
         }
     }
 }
+
+/// Seed of the deterministic backoff jitter.
+const BACKOFF_SEED: u64 = 0x00C0_FFEE;
 
 /// What one attempt at one cell produced.
 #[derive(Debug, Clone)]
@@ -117,25 +110,24 @@ pub struct CellCtx {
 /// Executes one attempt of one cell. Implementations must be `Sync`: the
 /// supervisor calls them from its worker-thread pool.
 pub trait CellRunner: Sync {
-    /// Runs one attempt. Must not unwind for *cell* failures — those are
-    /// the `Failed`/`TimedOut` returns; an unwind here is a supervisor
-    /// bug (still caught at the pool boundary, as `Failed`).
+    /// Runs one attempt. A cell failure is a `Failed`/`TimedOut` return;
+    /// an unwind is caught by the supervisor and counts as `Failed`.
     fn run_cell(&self, ctx: &CellCtx) -> Attempt;
 }
 
-/// Runs cells on the supervisor's own threads with `catch_unwind`
-/// isolation — no process boundary, so an abort or OOM still kills the
-/// campaign, but panics and machine faults are contained. This is the
-/// default when `--supervised` is off.
+/// Runs cells on the supervisor's own threads — no process boundary, so
+/// an abort or OOM still kills the campaign, but panics (caught by the
+/// supervisor) and machine faults are contained. This is the runner of
+/// [`crate::sweep::run_sweep`] and of `memfwd_sweep` without
+/// `--supervised`.
 #[derive(Debug, Default)]
 pub struct InProcessRunner;
 
 impl CellRunner for InProcessRunner {
     fn run_cell(&self, ctx: &CellCtx) -> Attempt {
-        match catch_unwind(AssertUnwindSafe(|| run_cell(ctx.scale, ctx.spec))) {
-            Ok(Ok(result)) => Attempt::Completed(Box::new(result)),
-            Ok(Err(e)) => Attempt::Failed(e),
-            Err(payload) => Attempt::Failed(describe_panic(payload)),
+        match run_cell(ctx.scale, ctx.spec) {
+            Ok(result) => Attempt::Completed(Box::new(result)),
+            Err(e) => Attempt::Failed(e),
         }
     }
 }
@@ -230,13 +222,6 @@ pub struct SubprocessRunner {
     pub chaos: ChaosSpec,
 }
 
-fn scale_name(scale: Scale) -> &'static str {
-    match scale {
-        Scale::Smoke => "smoke",
-        Scale::Bench => "bench",
-    }
-}
-
 impl SubprocessRunner {
     fn result_path(&self, key: u64) -> PathBuf {
         self.farm_dir.join(format!("cell-{key:016x}.result"))
@@ -266,7 +251,7 @@ impl SubprocessRunner {
             .arg("--seeds")
             .arg(ctx.spec.seed.to_string())
             .arg("--scale")
-            .arg(scale_name(ctx.scale))
+            .arg(ctx.scale.name())
             .arg("--cell-key")
             .arg(ctx.key.to_string())
             .arg("--result-file")
@@ -390,44 +375,20 @@ pub fn backoff_delay(seed: u64, key: u64, attempt: u32, base_ms: u64) -> Duratio
     Duration::from_millis(exp / 2 + jitter)
 }
 
-/// The per-cell slice of [`FarmOptions`]: how many times to retry a
-/// failing cell and how to pace the retries.
-#[derive(Debug, Clone, Copy)]
-pub struct RetryPolicy {
-    /// Maximum retries after the first attempt.
-    pub retries: u32,
-    /// Base backoff in milliseconds (0 disables the sleeps).
-    pub backoff_ms: u64,
-    /// Seed of the deterministic backoff jitter.
-    pub backoff_seed: u64,
-}
-
-impl From<&FarmOptions> for RetryPolicy {
-    fn from(o: &FarmOptions) -> RetryPolicy {
-        RetryPolicy {
-            retries: o.retries,
-            backoff_ms: o.backoff_ms,
-            backoff_seed: o.backoff_seed,
-        }
-    }
-}
-
 /// Drives one cell to a terminal [`CellOutcome`]: attempts through
 /// `runner` (each attempt `catch_unwind`-guarded, so a runner bug is a
 /// failed attempt, never an unwinding supervisor), retries with
-/// seeded-deterministic exponential backoff up to the policy's budget,
-/// then quarantines as [`CellOutcome::Poisoned`] or
-/// [`CellOutcome::TimedOut`].
+/// seeded-deterministic exponential backoff up to `opts.retries`, then
+/// quarantines as [`CellOutcome::Poisoned`] or [`CellOutcome::TimedOut`].
 ///
 /// `abort` is polled between attempts; when it turns true the cell is
 /// abandoned un-journaled (as a real SIGKILL would leave it) and `None`
-/// is returned. This is the shared engine of [`run_campaign`] and the
-/// `memfwd_served` job scheduler.
-pub fn supervise_cell(
+/// is returned.
+fn supervise_cell(
     mut ctx: CellCtx,
-    policy: &RetryPolicy,
+    opts: &FarmOptions,
     runner: &dyn CellRunner,
-    abort: &(dyn Fn() -> bool + Sync),
+    abort: &dyn Fn() -> bool,
 ) -> Option<CellReport> {
     let mut attempts = 0u32;
     // The last failed attempt's description and whether it was a timeout
@@ -458,7 +419,7 @@ pub fn supervise_cell(
             Attempt::Failed(e) => last_failure = Some((e, false)),
             Attempt::TimedOut(e) => last_failure = Some((e, true)),
         }
-        if attempts > policy.retries {
+        if attempts > opts.retries {
             let (error, was_timeout) =
                 last_failure.expect("attempt loop always records its failure");
             let outcome = if was_timeout {
@@ -478,10 +439,10 @@ pub fn supervise_cell(
             return None;
         }
         std::thread::sleep(backoff_delay(
-            policy.backoff_seed,
+            BACKOFF_SEED,
             ctx.key,
             attempts - 1,
-            policy.backoff_ms,
+            opts.backoff_ms,
         ));
     }
 }
@@ -490,23 +451,37 @@ pub fn supervise_cell(
 #[derive(Debug)]
 pub struct CampaignRun {
     /// The completed report, in spec order — `None` if the run crashed
-    /// (see [`FarmOptions::crash_after_appends`]).
+    /// (see [`FarmOptions::crash_after_appends`]) or was stopped before
+    /// every cell was claimed.
     pub report: Option<SweepReport>,
     /// Cells restored from the journal without recomputation.
     pub from_journal: usize,
-    /// Cells actually executed (attempted at least once) this run.
+    /// Cells run to a terminal outcome this run.
     pub executed: usize,
     /// Whether the run stopped at the deterministic crash point.
     pub crashed: bool,
-    /// Whether the run ended early because [`FarmOptions::stop`] turned
-    /// true (graceful drain): in-flight cells were journaled, unclaimed
-    /// cells were left for a later resume.
-    pub stopped: bool,
 }
 
-/// Runs (or resumes) a campaign: every cell of `spec` reaches a terminal
-/// [`CellOutcome`], journaled cells are reused verbatim, and each new
-/// terminal outcome is durably journaled the moment it is reached.
+/// What [`run_campaign`] did with one cell.
+enum CellStep {
+    /// Replayed from the journal.
+    Journaled(CellReport),
+    /// Run to a terminal outcome, then journaled (or the append failed).
+    Ran(Result<CellReport, JournalError>),
+    /// Not run to the end: the campaign crashed or was stopped first.
+    Left,
+}
+
+/// Runs (or resumes) a campaign on `opts.jobs` workers: every cell of
+/// `spec` reaches a terminal [`CellOutcome`], journaled cells are reused
+/// verbatim, and each new terminal outcome is durably journaled the
+/// moment it is reached. With no journal the campaign is a plain sweep.
+///
+/// `stop` is polled before each cell is claimed (graceful drain, job
+/// deadline). Once it holds, no further cell starts; cells in flight run
+/// to their terminal outcome and are journaled, and a run that left cells
+/// unstarted returns no report. Unlike a crash, nothing in flight is
+/// abandoned.
 ///
 /// # Errors
 ///
@@ -517,137 +492,88 @@ pub fn run_campaign(
     spec: &SweepSpec,
     opts: &FarmOptions,
     runner: &dyn CellRunner,
-    journal: &mut Journal,
+    journal: Option<&mut Journal>,
+    stop: &(dyn Fn() -> bool + Sync),
 ) -> Result<CampaignRun, JournalError> {
-    let cells = spec.expand();
-    let jobs = opts.jobs.max(1);
-    let workers = jobs.min(cells.len().max(1));
     let t0 = Instant::now();
-    let next = AtomicUsize::new(0);
+    let jobs = opts.jobs.max(1);
     let crashed = AtomicBool::new(false);
-    let from_journal = AtomicUsize::new(0);
-    let executed = AtomicUsize::new(0);
-    let appends = AtomicUsize::new(0);
-    // The journal is shared by every worker thread; appends serialize on
-    // this lock (they are tiny next to a cell's simulation time).
-    let journal = Mutex::new(journal);
-    let (tx, rx) = mpsc::channel::<(usize, Result<CellReport, JournalError>)>();
-
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            let tx = tx.clone();
-            let next = &next;
-            let crashed = &crashed;
-            let from_journal = &from_journal;
-            let executed = &executed;
-            let appends = &appends;
-            let journal = &journal;
-            let cells = &cells;
-            s.spawn(move || loop {
-                if crashed.load(Ordering::SeqCst) {
-                    break;
-                }
-                if opts.stop.as_ref().is_some_and(|s| s.load(Ordering::SeqCst)) {
-                    break;
-                }
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= cells.len() {
-                    break;
-                }
-                let spec_i = cells[i];
-                let key = cell_key(spec.scale, &spec_i);
-
-                // Resume path: a journaled terminal outcome is reused
-                // verbatim — zero recomputation.
-                let journaled = {
-                    let guard = journal.lock().expect("journal lock");
-                    guard.get(key).cloned()
-                };
-                if let Some(rec) = journaled {
-                    from_journal.fetch_add(1, Ordering::Relaxed);
-                    if tx.send((i, Ok(rec.to_report(spec_i)))).is_err() {
-                        break;
-                    }
-                    continue;
-                }
-
-                executed.fetch_add(1, Ordering::Relaxed);
-                let ctx = CellCtx {
-                    spec: spec_i,
-                    scale: spec.scale,
-                    index: i,
-                    attempt: 0,
-                    key,
-                };
-                // When the abort flag turns true the campaign is "dead";
-                // the cell is abandoned un-journaled, as a real SIGKILL
-                // would leave it.
-                let report = match supervise_cell(ctx, &RetryPolicy::from(opts), runner, &|| {
-                    crashed.load(Ordering::SeqCst)
-                }) {
-                    Some(report) => report,
-                    None => return,
-                };
-
-                // Durably journal the terminal outcome before reporting
-                // it. Everything after a crash point is discarded.
-                let append = {
-                    let mut guard = journal.lock().expect("journal lock");
-                    if crashed.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    let r = guard.append(JournalRecord::from_report(spec.scale, &report));
-                    if r.is_ok() {
-                        let n = appends.fetch_add(1, Ordering::SeqCst) + 1;
-                        if opts.crash_after_appends.is_some_and(|k| n as u64 >= k) {
-                            crashed.store(true, Ordering::SeqCst);
-                        }
-                    }
-                    r
-                };
-                let msg = append.map(|()| report);
-                if tx.send((i, msg)).is_err() {
-                    break;
-                }
-            });
+    // The journal and this run's append count, shared by every worker;
+    // appends serialize on the lock (they are tiny next to a cell).
+    let journal = Mutex::new((journal, 0u64));
+    let cells: Vec<(usize, CellSpec)> = spec.expand().into_iter().enumerate().collect();
+    let steps = par_map(&cells, jobs, |&(index, cell)| {
+        if crashed.load(Ordering::SeqCst) || stop() {
+            return CellStep::Left;
         }
+        let key = cell_key(spec.scale, &cell);
+        let journaled = {
+            let guard = journal.lock().expect("journal lock");
+            guard.0.as_ref().and_then(|j| j.get(key)).cloned()
+        };
+        if let Some(rec) = journaled {
+            return CellStep::Journaled(rec.to_report(cell));
+        }
+        let ctx = CellCtx {
+            spec: cell,
+            scale: spec.scale,
+            index,
+            attempt: 0,
+            key,
+        };
+        // Past the crash point the campaign is "dead": the cell is
+        // abandoned un-journaled, as a real SIGKILL would leave it.
+        let Some(report) = supervise_cell(ctx, opts, runner, &|| crashed.load(Ordering::SeqCst))
+        else {
+            return CellStep::Left;
+        };
+        let mut guard = journal.lock().expect("journal lock");
+        if crashed.load(Ordering::SeqCst) {
+            return CellStep::Left;
+        }
+        let (journal, appends) = &mut *guard;
+        if let Some(journal) = journal {
+            if let Err(e) = journal.append(JournalRecord::from_report(spec.scale, &report)) {
+                return CellStep::Ran(Err(e));
+            }
+            *appends += 1;
+            if opts.crash_after_appends.is_some_and(|k| *appends >= k) {
+                crashed.store(true, Ordering::SeqCst);
+            }
+        }
+        CellStep::Ran(Ok(report))
     });
-    drop(tx);
 
-    let mut slots: Vec<Option<CellReport>> = vec![None; cells.len()];
-    let mut first_err = None;
-    for (i, r) in rx {
-        match r {
-            Ok(report) => slots[i] = Some(report),
-            Err(e) => first_err = first_err.or(Some(e)),
+    let mut run = CampaignRun {
+        report: None,
+        from_journal: 0,
+        executed: 0,
+        crashed: crashed.into_inner(),
+    };
+    let mut reports = Vec::with_capacity(cells.len());
+    for step in steps {
+        match step {
+            CellStep::Journaled(report) => {
+                run.from_journal += 1;
+                reports.push(report);
+            }
+            CellStep::Ran(report) => {
+                run.executed += 1;
+                reports.push(report?);
+            }
+            CellStep::Left => {}
         }
     }
-    if let Some(e) = first_err {
-        return Err(e);
-    }
-    let did_crash = crashed.load(Ordering::SeqCst);
-    let did_stop = opts.stop.as_ref().is_some_and(|s| s.load(Ordering::SeqCst));
-    let report = if did_crash || slots.iter().any(|s| s.is_none()) {
-        None
-    } else {
-        Some(SweepReport {
+    if !run.crashed && reports.len() == cells.len() {
+        run.report = Some(SweepReport {
             jobs,
             scale: spec.scale,
-            cells: slots
-                .into_iter()
-                .map(|s| s.expect("checked above"))
-                .collect(),
+            cells: reports,
             host_wall_nanos: t0.elapsed().as_nanos() as u64,
             selftest_refs_per_second: None,
-        })
-    };
-    Ok(CampaignRun {
-        report,
-        from_journal: from_journal.load(Ordering::Relaxed),
-        executed: executed.load(Ordering::Relaxed),
-        crashed: did_crash,
-        stopped: did_stop,
-    })
+        });
+    }
+    Ok(run)
 }
 
 #[cfg(test)]

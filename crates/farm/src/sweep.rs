@@ -2,19 +2,19 @@
 //!
 //! A [`SweepSpec`] names the axes of a paper figure — applications ×
 //! variants × line sizes × memory latencies × seeds — and expands into
-//! independent simulator runs. [`run_sweep`] executes the cells on a
-//! `std::thread` worker pool (workers steal the next unclaimed cell from a
-//! shared atomic counter) and collects results **in spec order**, so the
-//! report is byte-identical at any `--jobs` value: every cell is a fully
-//! independent `Machine`, and only the `host_`-prefixed timing fields
-//! depend on the host.
+//! independent simulator runs. [`run_sweep`] executes the cells as a
+//! campaign of [`crate::supervisor::run_campaign`] with no journal and no
+//! retries, and collects results **in spec order**, so the report is
+//! byte-identical at any `--jobs` value: every cell is a fully independent
+//! `Machine`, and only the `host_`-prefixed timing fields depend on the
+//! host.
 //!
 //! Every cell carries a typed [`CellOutcome`]: a cell that panics or
-//! faults is caught at the pool boundary and shipped as a
+//! faults is caught by the supervisor and shipped as a
 //! [`CellOutcome::Poisoned`] hole with its error text — it never unwinds
-//! across the pool and never takes the other cells down. The supervised
-//! campaign runner in [`crate::supervisor`] adds retry, out-of-process
-//! isolation, and timeouts on top of the same report types.
+//! across the pool and never takes the other cells down. A supervised
+//! campaign adds retry, out-of-process isolation, timeouts and a journal
+//! on the same engine and report types.
 //!
 //! The report serializes to `BENCH_sweep.json` via [`SweepReport::to_json`];
 //! [`strip_host_lines`] removes the host-timing lines and
@@ -24,10 +24,9 @@
 //! field-by-field description).
 
 use crate::minijson::{parse_json, Json};
-use crate::pool::par_map;
+use crate::supervisor::{run_campaign, FarmOptions, InProcessRunner};
 use memfwd::{json_escape, RunStats};
 use memfwd_apps::{run, App, RunConfig, Scale, Variant};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
 /// Version stamped into every report; bump when the schema changes shape.
@@ -296,7 +295,7 @@ pub fn describe_panic(payload: Box<dyn std::any::Any + Send>) -> String {
 
 /// Runs one cell in-process, mapping a machine fault to a typed error
 /// string instead of panicking. Panics from simulator bugs still unwind;
-/// the worker pool catches those at its boundary.
+/// the supervisor catches those around each attempt.
 pub fn run_cell(scale: Scale, c: CellSpec) -> Result<CellResult, String> {
     let t = Instant::now();
     let out = run(c.app, &c.config(scale)).map_err(|fault| format!("machine fault: {fault}"))?;
@@ -310,47 +309,21 @@ pub fn run_cell(scale: Scale, c: CellSpec) -> Result<CellResult, String> {
     })
 }
 
-/// Runs every cell of `spec` on `jobs` worker threads with the stock
-/// in-process cell runner. See [`run_sweep_with`].
+/// Runs every cell of `spec` in-process on `jobs` worker threads, so
+/// wall-clock scales with `jobs` while the report content stays
+/// identical: a campaign with [`InProcessRunner`], no retries and no
+/// journal. A panicking or failing cell becomes a typed
+/// [`CellOutcome::Poisoned`] entry after its single attempt.
 pub fn run_sweep(spec: &SweepSpec, jobs: usize) -> SweepReport {
-    run_sweep_with(spec, jobs, &|scale, c| run_cell(scale, c))
-}
-
-/// Runs every cell of `spec` on `jobs` worker threads ([`par_map`]),
-/// so wall-clock scales with `jobs` while the report content stays
-/// identical.
-///
-/// Each `runner` call is wrapped in `catch_unwind`: a panicking or failing
-/// cell becomes a typed [`CellOutcome::Poisoned`] entry in the report
-/// instead of unwinding across the pool and poisoning the whole sweep.
-pub fn run_sweep_with(
-    spec: &SweepSpec,
-    jobs: usize,
-    runner: &(dyn Fn(Scale, CellSpec) -> Result<CellResult, String> + Sync),
-) -> SweepReport {
-    let jobs = jobs.max(1);
-    let t0 = Instant::now();
-    let cells = par_map(&spec.expand(), jobs, |&c| {
-        let error = match catch_unwind(AssertUnwindSafe(|| runner(spec.scale, c))) {
-            Ok(Ok(result)) => return CellReport::completed(result),
-            Ok(Err(error)) => error,
-            Err(payload) => describe_panic(payload),
-        };
-        CellReport {
-            spec: c,
-            outcome: CellOutcome::Poisoned,
-            attempts: 1,
-            sim: None,
-            error: Some(error),
-        }
-    });
-    SweepReport {
+    let opts = FarmOptions {
         jobs,
-        scale: spec.scale,
-        cells,
-        host_wall_nanos: t0.elapsed().as_nanos() as u64,
-        selftest_refs_per_second: None,
-    }
+        retries: 0,
+        ..FarmOptions::default()
+    };
+    run_campaign(spec, &opts, &InProcessRunner, None, &|| false)
+        .ok()
+        .and_then(|run| run.report)
+        .expect("a campaign with no journal, crash point or stop completes")
 }
 
 /// The fixed single cell measured by `--selftest`: `health`, optimized
@@ -378,13 +351,6 @@ pub fn selftest(scale: Scale) -> CellResult {
     }
 }
 
-fn scale_name(scale: Scale) -> &'static str {
-    match scale {
-        Scale::Smoke => "smoke",
-        Scale::Bench => "bench",
-    }
-}
-
 impl SweepReport {
     /// Serializes the report as pretty-printed JSON, one key per line.
     ///
@@ -398,7 +364,7 @@ impl SweepReport {
         let mut out = String::new();
         out.push_str("{\n");
         out.push_str(&format!("  \"schema_version\": {SCHEMA_VERSION},\n"));
-        out.push_str(&format!("  \"scale\": \"{}\",\n", scale_name(self.scale)));
+        out.push_str(&format!("  \"scale\": \"{}\",\n", self.scale.name()));
         out.push_str(&format!("  \"jobs\": {},\n", self.jobs));
         out.push_str(&format!(
             "  \"host_wall_nanos\": {},\n",
@@ -519,7 +485,7 @@ pub fn validate_report(text: &str) -> Result<(), String> {
         ));
     }
     match require(&root, "scale", "report")? {
-        Json::Str(s) if s == "smoke" || s == "bench" => {}
+        Json::Str(s) if Scale::from_name(s).is_some() => {}
         _ => return Err("report: \"scale\" must be \"smoke\" or \"bench\"".into()),
     }
     match require(&root, "jobs", "report")? {
@@ -672,53 +638,6 @@ mod tests {
         assert!(!volatile.contains("\"outcome\""));
         assert!(!volatile.contains("\"summary\""));
         assert!(volatile.contains("\"checksum\""));
-    }
-
-    #[test]
-    fn panicking_cell_is_a_typed_hole_not_a_poisoned_sweep() {
-        let spec = tiny_spec();
-        let poison_target = spec.expand()[1];
-        let report = run_sweep_with(&spec, 2, &move |scale, c| {
-            if c == poison_target {
-                panic!("injected cell panic");
-            }
-            run_cell(scale, c)
-        });
-        assert_eq!(report.cells.len(), 4);
-        assert_eq!(report.cells[1].outcome, CellOutcome::Poisoned);
-        assert!(report.cells[1].sim.is_none());
-        assert!(
-            report.cells[1]
-                .error
-                .as_deref()
-                .is_some_and(|e| e.contains("injected cell panic")),
-            "{:?}",
-            report.cells[1].error
-        );
-        // Every other cell completed normally and the report still
-        // serializes and validates — graceful degradation.
-        for (i, c) in report.cells.iter().enumerate() {
-            if i != 1 {
-                assert_eq!(c.outcome, CellOutcome::Ok, "cell {i}");
-                assert!(c.sim.is_some());
-            }
-        }
-        let json = report.to_json();
-        validate_report(&json).expect("degraded report still validates");
-        assert_eq!(report.summary().poisoned, 1);
-        assert!(!report.summary().is_clean());
-    }
-
-    #[test]
-    fn failing_cell_error_is_preserved() {
-        let spec = SweepSpec {
-            apps: vec![App::Vis],
-            variants: vec![Variant::Original],
-            ..tiny_spec()
-        };
-        let report = run_sweep_with(&spec, 1, &|_, _| Err("typed failure".to_string()));
-        assert_eq!(report.cells[0].outcome, CellOutcome::Poisoned);
-        assert_eq!(report.cells[0].error.as_deref(), Some("typed failure"));
     }
 
     #[test]

@@ -116,11 +116,8 @@ pub fn parse_worker_args(mut args: impl Iterator<Item = String>) -> Result<Worke
                     .map_err(|e| format!("--seeds: {e}"))?;
             }
             "--scale" => {
-                scale = match next_val(&mut args, "--scale")?.as_str() {
-                    "smoke" => Scale::Smoke,
-                    "bench" => Scale::Bench,
-                    other => return Err(format!("unknown scale '{other}'")),
-                };
+                let v = next_val(&mut args, "--scale")?;
+                scale = Scale::from_name(&v).ok_or_else(|| format!("unknown scale '{v}'"))?;
             }
             "--cell-key" => {
                 key = Some(

@@ -95,21 +95,6 @@ pub enum Request {
     Drain,
 }
 
-fn scale_name(scale: Scale) -> &'static str {
-    match scale {
-        Scale::Smoke => "smoke",
-        Scale::Bench => "bench",
-    }
-}
-
-fn scale_from_name(name: &str) -> Result<Scale, String> {
-    match name {
-        "smoke" => Ok(Scale::Smoke),
-        "bench" => Ok(Scale::Bench),
-        other => Err(format!("unknown scale '{other}'")),
-    }
-}
-
 /// Serializes a sweep spec as a compact one-line JSON object.
 pub fn spec_to_json(spec: &SweepSpec) -> String {
     let strs = |names: Vec<&str>| {
@@ -127,7 +112,7 @@ pub fn spec_to_json(spec: &SweepSpec) -> String {
         nums(&spec.line_bytes),
         nums(&spec.mem_latency),
         nums(&spec.seeds),
-        scale_name(spec.scale),
+        spec.scale.name(),
     )
 }
 
@@ -172,11 +157,11 @@ pub fn spec_from_json(v: &Json) -> Result<SweepSpec, String> {
         .iter()
         .map(|n| Variant::from_name(n).ok_or_else(|| format!("unknown variant '{n}'")))
         .collect::<Result<Vec<_>, _>>()?;
-    let scale = scale_from_name(
-        v.get("scale")
-            .and_then(Json::as_str)
-            .ok_or("spec: \"scale\" must be a string")?,
-    )?;
+    let scale = v
+        .get("scale")
+        .and_then(Json::as_str)
+        .ok_or("spec: \"scale\" must be a string")?;
+    let scale = Scale::from_name(scale).ok_or_else(|| format!("unknown scale '{scale}'"))?;
     Ok(SweepSpec {
         apps,
         variants,

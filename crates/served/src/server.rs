@@ -285,23 +285,10 @@ fn run_one_job(state: &ServerState, job: &Arc<Job>) {
     // global counter over this job is this job's cache-hit count.
     let cached_before = state.stats.cells_from_cache.load(Ordering::Relaxed);
 
-    // The stop flag run_campaign polls: set on graceful drain, and on
-    // the job deadline. In-flight cells still finish and journal.
-    let stop = Arc::new(AtomicBool::new(false));
-    let deadline = job
-        .options
-        .job_timeout_ms
-        .map(|ms| Instant::now() + Duration::from_millis(ms));
     let farm_opts = FarmOptions {
         jobs: state.opts.jobs,
         retries: job.options.retries,
         backoff_ms: job.options.backoff_ms,
-        cell_timeout: job
-            .options
-            .cell_timeout_ms
-            .map(Duration::from_millis)
-            .or(state.opts.cell_timeout),
-        stop: Some(stop.clone()),
         ..FarmOptions::default()
     };
     let base: Box<dyn CellRunner> = if state.opts.in_process {
@@ -310,7 +297,11 @@ fn run_one_job(state: &ServerState, job: &Arc<Job>) {
         Box::new(SubprocessRunner {
             exe: state.exe.clone(),
             farm_dir: job.dir.clone(),
-            cell_timeout: farm_opts.cell_timeout,
+            cell_timeout: job
+                .options
+                .cell_timeout_ms
+                .map(Duration::from_millis)
+                .or(state.opts.cell_timeout),
             ckpt_every: state.opts.ckpt_every,
             chaos: ChaosSpec::default(),
         })
@@ -322,24 +313,14 @@ fn run_one_job(state: &ServerState, job: &Arc<Job>) {
         cells_done: &job.cells_done,
     };
 
-    let done = AtomicBool::new(false);
-    let campaign = std::thread::scope(|s| {
-        let watchdog_stop = stop.clone();
-        let done_ref = &done;
-        s.spawn(move || {
-            while !done_ref.load(Ordering::SeqCst) {
-                if signal::drain_requested() || deadline.is_some_and(|d| Instant::now() >= d) {
-                    watchdog_stop.store(true, Ordering::SeqCst);
-                }
-                std::thread::sleep(Duration::from_millis(25));
-            }
-        });
-        let r = run_campaign(&job.spec, &farm_opts, &runner, &mut journal);
-        done.store(true, Ordering::SeqCst);
-        r
-    });
-
-    let run = match campaign {
+    // Graceful drain and the job deadline stop the campaign from claiming
+    // further cells; in-flight cells still finish and journal.
+    let deadline = job
+        .options
+        .job_timeout_ms
+        .map(|ms| Instant::now() + Duration::from_millis(ms));
+    let stop = || signal::drain_requested() || deadline.is_some_and(|d| Instant::now() >= d);
+    let run = match run_campaign(&job.spec, &farm_opts, &runner, Some(&mut journal), &stop) {
         Ok(run) => run,
         Err(e) => return fail(format!("journal append failed: {e}")),
     };
@@ -630,8 +611,9 @@ fn report_is_degraded(text: &str) -> Option<bool> {
 
 /// Rebuilds the job table from `state_dir/jobs/*`: finished jobs (with a
 /// readable report) become `done`; everything else re-enqueues in
-/// submission order. Returns the table.
-fn scan_jobs(state_dir: &Path, resume: bool) -> Result<JobTable, String> {
+/// submission order. A spec whose grid exceeds `max_cells_per_job` is
+/// skipped like any other bad spec. Returns the table.
+fn scan_jobs(state_dir: &Path, resume: bool, max_cells_per_job: usize) -> Result<JobTable, String> {
     let mut table = JobTable::default();
     let jobs_dir = state_dir.join("jobs");
     std::fs::create_dir_all(&jobs_dir).map_err(|e| io_err("creating jobs dir", e))?;
@@ -669,14 +651,22 @@ fn scan_jobs(state_dir: &Path, resume: bool) -> Result<JobTable, String> {
             };
             Ok((id, seq, spec, options))
         });
-        let (id, seq, spec, options) = match parsed {
+        // Size the grid by its axis lengths: a tampered spec must not make
+        // a restarting server allocate without bound.
+        let parsed = parsed.and_then(|(id, seq, spec, options)| match spec.cell_count() {
+            Some(n) if n <= max_cells_per_job => Ok((id, seq, spec, options, n)),
+            n => Err(format!(
+                "job.spec: {} cells exceed the per-job limit of {max_cells_per_job}",
+                n.unwrap_or(usize::MAX)
+            )),
+        });
+        let (id, seq, spec, options, cells) = match parsed {
             Ok(p) => p,
             Err(e) => {
                 eprintln!("served: skipping {} (bad job.spec: {e})", dir.display());
                 continue;
             }
         };
-        let cells = spec.expand().len();
         let fingerprint = campaign_fingerprint(&spec);
         let report_path = dir.join("report.json");
         let done_degraded = std::fs::read_to_string(&report_path)
@@ -746,7 +736,7 @@ pub fn serve(opts: ServerOptions) -> Result<(), String> {
     signal::install_handlers();
     std::fs::create_dir_all(&opts.state_dir).map_err(|e| io_err("creating state dir", e))?;
     let cache = ResultCache::open(&opts.state_dir).map_err(|e| format!("opening cache: {e}"))?;
-    let table = scan_jobs(&opts.state_dir, opts.resume)?;
+    let table = scan_jobs(&opts.state_dir, opts.resume, opts.max_cells_per_job)?;
     let resumed = table.queue.len();
     let exe = std::env::current_exe().map_err(|e| io_err("resolving current exe", e))?;
 

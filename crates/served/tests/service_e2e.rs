@@ -10,7 +10,7 @@ use memfwd_apps::{App, Scale, Variant};
 use memfwd_farm::minijson::{parse_json, Json};
 use memfwd_farm::sweep::{run_sweep, strip_volatile_lines};
 use memfwd_farm::SweepSpec;
-use memfwd_served::proto;
+use memfwd_served::{proto, JobOptions};
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
@@ -382,6 +382,111 @@ fn huge_grid_is_shed_before_expansion() {
         Some(cells as u64)
     );
     assert_eq!(c.stat("jobs_shed"), 1);
+}
+
+/// A durable `job.spec` whose grid passes the per-job cell limit — one
+/// tampered on disk, since admission would have shed it — is skipped by
+/// `--resume` from its axis lengths alone: the server comes up, `health`
+/// answers, and the job does not exist.
+#[test]
+fn oversized_durable_job_spec_is_skipped_on_resume() {
+    let name = "tampered";
+    let base = std::env::temp_dir().join(format!("memfwd-e2e-{}-{name}", std::process::id()));
+    std::fs::remove_dir_all(&base).ok();
+    let job_dir = base.join("state").join("jobs").join("job-000000");
+    std::fs::create_dir_all(&job_dir).expect("job dir");
+    let spec = SweepSpec {
+        apps: App::ALL.to_vec(),
+        variants: vec![Variant::Original, Variant::Optimized, Variant::Static],
+        line_bytes: vec![32; 4096],
+        mem_latency: vec![75; 4096],
+        seeds: vec![1; 4096],
+        scale: Scale::Smoke,
+    };
+    assert!(spec.cell_count().expect("fits in usize") > 1 << 40);
+    std::fs::write(
+        job_dir.join("job.spec"),
+        format!(
+            "{{\"id\":\"job-000000\",\"seq\":0,\"spec\":{}}}\n",
+            proto::spec_to_json(&spec)
+        ),
+    )
+    .expect("write job.spec");
+
+    let server = Server::start(name, true, &[]);
+    let mut c = server.client();
+    let v = c.rpc("{\"op\":\"health\"}");
+    assert_eq!(v.get("ok").and_then(Json::as_bool), Some(true), "{v:?}");
+    assert_eq!(
+        v.get("jobs_pending").and_then(Json::as_u64),
+        Some(0),
+        "{v:?}"
+    );
+    let v = c.rpc("{\"op\":\"status\",\"job\":\"job-000000\"}");
+    assert_eq!(v.get("type").and_then(Json::as_str), Some("error"), "{v:?}");
+}
+
+/// A job whose deadline passes stops claiming cells and ends `failed`
+/// with "job deadline exceeded". Resubmitting the grid with no deadline
+/// completes with the local run's report, and the cells the first job
+/// finished are served from the cache rather than run again.
+#[test]
+fn job_deadline_fails_the_job_and_resubmission_reruns_nothing() {
+    // Twenty seeds on one worker: 160 cells, which outlast a 1 ms deadline
+    // by far even in a release build.
+    let spec = SweepSpec {
+        seeds: (1..=20).collect(),
+        ..wide_grid()
+    };
+    let cells = spec.expand().len() as u64;
+    let golden = strip_volatile_lines(&run_sweep(&spec, 1).to_json());
+
+    let server = Server::start("deadline", false, &["--jobs", "1"]);
+    let mut c = server.client();
+    let options = JobOptions {
+        job_timeout_ms: Some(1),
+        ..JobOptions::default()
+    };
+    let v = c.rpc(&format!(
+        "{{\"op\":\"submit\",\"spec\":{},\"options\":{}}}",
+        proto::spec_to_json(&spec),
+        proto::options_to_json(&options)
+    ));
+    let job = v
+        .get("job")
+        .and_then(Json::as_str)
+        .expect("accepted")
+        .to_string();
+    let deadline = Instant::now() + Duration::from_secs(120);
+    loop {
+        let v = c.rpc(&format!("{{\"op\":\"status\",\"job\":\"{job}\"}}"));
+        match v.get("state").and_then(Json::as_str) {
+            Some("failed") => break,
+            Some("queued") | Some("running") => {}
+            other => panic!("job {job} ended {other:?}, not failed: {v:?}"),
+        }
+        assert!(Instant::now() < deadline, "timed out waiting for {job}");
+        std::thread::sleep(Duration::from_millis(25));
+    }
+    let v = c.rpc(&format!("{{\"op\":\"report\",\"job\":\"{job}\"}}"));
+    assert!(
+        v.get("error")
+            .and_then(Json::as_str)
+            .is_some_and(|e| e.contains("job deadline exceeded")),
+        "{v:?}"
+    );
+    let finished = c.stat("cells_executed");
+    assert!(finished < cells, "{finished} of {cells} cells ran");
+
+    let job2 = c.submit_ok(&spec);
+    let report = c.wait_report(&job2);
+    assert_eq!(
+        strip_volatile_lines(&report),
+        golden,
+        "resubmitted report diverged from the local run"
+    );
+    assert_eq!(c.stat("cells_executed"), cells, "a finished cell ran again");
+    assert_eq!(c.stat("cells_from_cache"), finished);
 }
 
 /// A request line one byte over the cap, with no newline, gets a typed
